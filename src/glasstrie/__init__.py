@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     GlassError,
     GlassFull,
+    InvalidArgument,
     MalformedEvent,
     NegativeAmount,
     PoolExhausted,
@@ -35,6 +36,7 @@ __all__ = [
     "Glass",
     "GlassError",
     "GlassFull",
+    "InvalidArgument",
     "Iterator",
     "LAZY",
     "MalformedEvent",

@@ -13,6 +13,10 @@ class PoolExhausted(GlassError):
     """Node pool cannot satisfy an allocation within its capacity limit."""
 
 
+class InvalidArgument(GlassError):
+    """A call was given an argument outside what it accepts."""
+
+
 class GlassFull(GlassError):
     """Insert of a new key would exceed the map's configured maximum size."""
 

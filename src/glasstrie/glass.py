@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitops import DivisionPlan, TrieGeometry, WORD_BITS
+from .bitops import TrieGeometry, WORD_BITS
 from .cachetable import PROBE_LIMIT, CacheTable, _HASH_MULT, _MASK64
-from .errors import ConfigError, GlassFull
+from .errors import ConfigError, GlassFull, InvalidArgument
 from .nodepool import CapacityModel, Pool, capacity_bound_for_size, max_size_for_capacity
 
 EAGER = "eager"
@@ -72,7 +72,6 @@ class Glass:
         if edge_mode not in (EAGER, LAZY):
             raise ConfigError(f"edge mode must be eager or lazy, got {edge_mode!r}")
         self.geo = geo
-        self.plan = DivisionPlan(geo.chunk_bits)
         self.pool = pool
         self.max_size = max_size
         self.size = 0
@@ -374,6 +373,40 @@ class Glass:
             return self._values[preleaf * self._fanout + c]
         return None
 
+    def _preleaf_of(self, key: int) -> int:
+        """Pre-leaf holding ``key``'s slot, or the pool's invalid handle.
+
+        A definitive cache-table answer decides at once; a don't-know
+        (or no table) falls back to the descent. Read-only.
+        """
+        heads = self._heads
+        if heads is not None:
+            inv = self._invalid
+            key_hi = key >> self._cbits
+            p = heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
+            cache_key = self._cache_key
+            chain_next = self._chain_next
+            probes = 0
+            while p != inv and probes < PROBE_LIMIT:
+                if cache_key[p] == key_hi:
+                    return p
+                p = chain_next[p]
+                probes += 1
+            if p == inv:
+                return inv
+        return self._descend_to_preleaf(key)
+
+    def locate(self, key: int) -> Iterator | None:
+        """Iterator of the stored ``key``, or None when it is absent.
+
+        Read-only: unlike :meth:`insert`, it leaves the cached path
+        where it was.
+        """
+        preleaf = self._preleaf_of(key)
+        if preleaf != self._invalid and (self._mask[preleaf] >> (key & self._nmask)) & 1:
+            return Iterator(preleaf, key)
+        return None
+
     def erase(self, key: int) -> bool:
         """Remove ``key``; True if it was present.
 
@@ -384,27 +417,9 @@ class Glass:
         inv = self._invalid
         fanout = self._fanout
         mask = self._mask
-        preleaf = inv
-        heads = self._heads
-        if heads is not None:
-            key_hi = key >> self._cbits
-            p = heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
-            cache_key = self._cache_key
-            chain_next = self._chain_next
-            probes = 0
-            while p != inv and probes < PROBE_LIMIT:
-                if cache_key[p] == key_hi:
-                    preleaf = p
-                    break
-                p = chain_next[p]
-                probes += 1
-            else:
-                if p == inv:
-                    return False
+        preleaf = self._preleaf_of(key)
         if preleaf == inv:
-            preleaf = self._descend_to_preleaf(key)
-            if preleaf == inv:
-                return False
+            return False
         c = key & self._nmask
         m = mask[preleaf]
         if not (m >> c) & 1:
@@ -459,16 +474,25 @@ class Glass:
             self._first = None
             self._last = None
         else:
+            # an erased edge's successor lives in the same pre-leaf when
+            # any slot is left there: every other pre-leaf lies wholly
+            # beyond it. Only a freed pre-leaf needs a walk from the root.
             first = self._first
             if first is not BAD and first[1] == key:
-                self._first = (
-                    self._min_from(self.root, 0, 0) if self.edge_mode == EAGER else BAD
-                )
+                if self.edge_mode != EAGER:
+                    self._first = BAD
+                elif m:
+                    self._first = Iterator(preleaf, key - c + ((m & -m).bit_length() - 1))
+                else:
+                    self._first = self._min_from(self.root, 0, 0)
             lastit = self._last
             if lastit is not BAD and lastit[1] == key:
-                self._last = (
-                    self._max_from(self.root, 0, 0) if self.edge_mode == EAGER else BAD
-                )
+                if self.edge_mode != EAGER:
+                    self._last = BAD
+                elif m:
+                    self._last = Iterator(preleaf, key - c + (m.bit_length() - 1))
+                else:
+                    self._last = self._max_from(self.root, 0, 0)
         return True
 
     def min(self) -> Iterator | None:
@@ -613,6 +637,13 @@ class Glass:
 
     def value_at(self, it: Iterator):
         return self._values[it[0] * self._fanout + (it[1] & self._nmask)]
+
+    def set_value(self, it: Iterator, value):
+        """Overwrite the value at a valid iterator in place. The trie,
+        the pool and the cached path are untouched."""
+        if value is None:
+            raise InvalidArgument("None is reserved for absent keys; erase the key instead")
+        self._values[it[0] * self._fanout + (it[1] & self._nmask)] = value
 
     def first_items(self, count: int, descending: bool = False) -> list[tuple[int, int]]:
         """Up to ``count`` (key, value) pairs from the ordered end.
@@ -878,11 +909,10 @@ def create(
         raise ConfigError(
             f"max_size {max_size} cannot fit {width}-bit handles (at most {limit})"
         )
-    cap = min(model.addressable, capacity_bound_for_size(max_size, model))
     pool = Pool(
         geo,
         width=width,
-        max_capacity=cap,
+        max_capacity=capacity_bound_for_size(max_size, model),
         preallocate=preallocate,
         trash_encoding=trash_encoding,
     )

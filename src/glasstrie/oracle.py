@@ -368,6 +368,12 @@ def fuzz_run(
         got = _glass_apply(g, op)
         if got != expected:
             return Divergence(i, op, expected, got)
+        if expected is not None and op[0] in (OP_MIN, OP_MAX):
+            # the key alone would pass an edge iterator on the wrong pre-leaf
+            it = g.min() if op[0] == OP_MIN else g.max()
+            if g.value_at(it) != ref.find(expected):
+                return Divergence(i, op, (expected, ref.find(expected)),
+                                  (it.key, g.value_at(it)))
         if check_every and i % check_every == 0:
             g.check_integrity()
             _check_edges(g, ref)
@@ -375,10 +381,12 @@ def fuzz_run(
 
 
 def _check_edges(g: Glass, ref: RefMap):
-    it = g.min()
-    assert (it.key if it is not None else None) == ref.min()
-    it = g.max()
-    assert (it.key if it is not None else None) == ref.max()
+    """The cached min and max hold the reference's edge keys and read
+    their values back (a key alone would pass a wrong pre-leaf)."""
+    for it, key in ((g.min(), ref.min()), (g.max(), ref.max())):
+        assert (it.key if it is not None else None) == key
+        if it is not None:
+            assert g.value_at(it) == ref.find(key)
 
 
 # -- order-book oracle ----------------------------------------------------

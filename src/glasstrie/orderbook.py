@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import ConfigError, NegativeAmount, PriceTooFar
+from .errors import ConfigError, InvalidArgument, NegativeAmount, PriceTooFar
 from .glass import Glass, create
 
 MIN_SIDE = "min"
@@ -88,23 +88,36 @@ class OrderBook:
 
     def adjust(self, price: int, delta: int):
         """Add ``delta`` to the level at ``price`` (creating or deleting
-        the level as needed). The feed guarantees no negative amounts."""
-        assert delta != 0
-        amount = self.find(price)
-        if amount is None:
-            amount = 0
-            present = False
+        the level as needed).
+
+        The level is looked up once and a changed amount is written in
+        place. Only a new level goes through :meth:`insert`, where
+        preemption lives, and only an emptied overflow level through
+        :meth:`erase`, which resets the threshold.
+        """
+        if delta == 0:
+            raise InvalidArgument(f"zero delta for level {price}")
+        glass = self.glass
+        in_glass = self._better_than_threshold(price)
+        if in_glass:
+            it = glass.locate(price)
+            held = 0 if it is None else glass.value_at(it)
         else:
-            present = True
-        new_amount = amount + delta
-        if new_amount < 0:
-            raise NegativeAmount(
-                f"level {price} would go to {new_amount} (corrupt feed)"
-            )
-        if present:
-            self.erase(price)
-        if new_amount != 0:
-            self.insert(price, new_amount)
+            held = self.overflow.get(price, 0)
+        amount = held + delta
+        if amount < 0:
+            raise NegativeAmount(f"level {price} would go to {amount} (corrupt feed)")
+        if not held:
+            self.insert(price, amount)
+        elif amount == 0:
+            if in_glass:
+                glass.erase(price)
+            else:
+                self.erase(price)
+        elif in_glass:
+            glass.set_value(it, amount)
+        else:
+            self.overflow[price] = amount
 
     def insert(self, price: int, amount: int):
         """Place a level not currently in the book."""

@@ -7,7 +7,7 @@ import pytest
 
 from glasstrie import glass as glassmod
 from glasstrie.bitops import TrieGeometry, clz
-from glasstrie.errors import ConfigError, GlassFull
+from glasstrie.errors import ConfigError, GlassFull, InvalidArgument
 from glasstrie.glass import BAD, EAGER, LAZY, Glass, Iterator, create
 from glasstrie.nodepool import CapacityModel, max_size_for_capacity
 
@@ -102,6 +102,38 @@ class TestBasicOps:
         assert out == keys[::-1]
 
 
+class TestLocateSetValue:
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_present_and_absent_keys(self, cache_table):
+        g = small_glass(cache_table=cache_table)
+        assert g.locate(0x123) is None  # empty glass
+        for k in (0x123, 0x125, 0x800):
+            g.insert(k, k)
+        g.insert(0x400, 0)  # moves the cached path away from 0x123
+        path = (g.last_key, g.path_len, list(g.rho))
+        it = g.locate(0x123)
+        assert it == g.min() and g.value_at(it) == 0x123
+        assert g.locate(0x124) is None  # absent slot of a live pre-leaf
+        assert g.locate(0x900) is None  # no pre-leaf
+        assert (g.last_key, g.path_len, list(g.rho)) == path
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_set_value_writes_in_place(self, cache_table):
+        g = small_glass(cache_table=cache_table)
+        for k in (0x123, 0x125, 0x800):
+            g.insert(k, "old")
+        state = (g.dump(), g.pool.live_count, g.last_key, g.path_len, list(g.rho))
+        it = g.locate(0x125)
+        g.set_value(it, "new")
+        assert g.find(0x125) == "new" and g.find(0x123) == "old"
+        g.set_value(it, "old")
+        assert (g.dump(), g.pool.live_count, g.last_key, g.path_len, list(g.rho)) == state
+        with pytest.raises(InvalidArgument):
+            g.set_value(it, None)
+        assert g.find(0x125) == "old"
+        g.check_integrity()
+
+
 class TestWorkedExamples:
     def test_prefix_length_of_sibling_keys(self):
         # 010 vs 011 with one-bit chunks in an 8-bit word: the shared
@@ -189,6 +221,29 @@ class TestEdgeCache:
             if present:
                 assert g.min().key == min(present)
                 assert g.max().key == max(present)
+
+    @pytest.mark.parametrize("mode", [EAGER, LAZY])
+    def test_erased_edge_found_in_its_preleaf_or_from_root(self, mode):
+        g = small_glass(edge_mode=mode)
+        # three pre-leafs: slots 0x1_, 0x3_ and 0x4_
+        for k in (0x12, 0x15, 0x30, 0x34, 0x47, 0x4E):
+            g.insert(k, k * 10)
+        # the erased edge's pre-leaf survives
+        g.erase(0x12)
+        g.erase(0x4E)
+        if mode == EAGER:
+            assert (g._first, g._last) == (g.locate(0x15), g.locate(0x47))
+        else:
+            assert g._first is BAD and g._last is BAD
+        assert (g.min(), g.max()) == (g.locate(0x15), g.locate(0x47))
+        # the erased edge's pre-leaf is freed
+        g.erase(0x15)
+        g.erase(0x47)
+        if mode == LAZY:
+            assert g._first is BAD and g._last is BAD
+        assert (g.min(), g.max()) == (g.locate(0x30), g.locate(0x34))
+        assert (g.value_at(g.min()), g.value_at(g.max())) == (0x30 * 10, 0x34 * 10)
+        g.check_integrity()
 
     def test_empty_transition_resets(self):
         g = small_glass(edge_mode=LAZY)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from glasstrie.errors import ConfigError, NegativeAmount, PriceTooFar
+from glasstrie.errors import ConfigError, InvalidArgument, NegativeAmount, PriceTooFar
 from glasstrie.oracle import OracleBook, fuzz_orderbook, gen_book_ops
 from glasstrie.orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 
@@ -66,6 +66,28 @@ class TestAdjust:
         with pytest.raises(NegativeAmount):
             book.adjust(100, -6)
         assert book.find(100) == 5  # state preserved
+        with pytest.raises(NegativeAmount):
+            book.adjust(200, -1)  # absent level
+        assert book.levels() == [(100, 5)]
+
+    def test_zero_delta_rejected(self):
+        book = make(max_size=8)
+        book.adjust(100, 5)
+        for price in (100, 200):
+            with pytest.raises(InvalidArgument):
+                book.adjust(price, 0)
+        assert book.levels() == [(100, 5)]
+
+    def test_change_updates_glass_level_in_place(self):
+        book = make(max_size=8)
+        for p in (100, 300, 200):
+            book.adjust(p, 5)
+        g = book.glass
+        state = (g.pool.live_count, g.last_key, g.path_len, g.size)
+        book.adjust(300, 4)
+        book.adjust(100, -2)
+        assert (g.pool.live_count, g.last_key, g.path_len, g.size) == state
+        assert book.levels() == [(100, 3), (200, 5), (300, 9)]
 
 
 class TestPreemption:
@@ -104,6 +126,18 @@ class TestPreemption:
         book.adjust(5, -50)
         assert book.find(5) is None
         assert book.find(6) == 60
+        book.check_invariants()
+
+    def test_overflow_level_changes_in_place(self):
+        book = make(MIN_SIDE, max_size=4)
+        for p in (1, 2, 3, 4, 5, 6):
+            book.adjust(p, 10)
+        book.adjust(6, 5)
+        assert book.overflow == {5: 10, 6: 15} and book.threshold == 5
+        before = (book.levels(), book.threshold)
+        with pytest.raises(NegativeAmount):
+            book.adjust(6, -16)
+        assert (book.levels(), book.threshold) == before
         book.check_invariants()
 
     def test_draining_overflow_clears_threshold(self):
