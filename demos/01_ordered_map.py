@@ -33,12 +33,13 @@ print("compressed:", cit, "->", g.decompress(cit))
 print("\n== the cached path at work ==")
 g2 = create(key_bits=50, chunk_bits=5, width=16, max_size=9000)
 g2.insert(500_000, 1)
-g2.jump_depth_sum = g2.jump_count = 0
+depths = []
 key = 500_000
 for i in range(1, 1000):
     key += 1 + (i % 4)  # sequentially local stream
+    depths.append(g2._jump(key)[0])  # where this insert's descent starts
     g2.insert(key, i)
-depth = g2.jump_depth_sum / g2.jump_count
+depth = sum(depths) / len(depths)
 print(f"mean descent start depth over 999 local inserts: {depth:.2f} "
       f"(of {g2.geo.levels} levels; higher = less walking)")
 

@@ -36,14 +36,14 @@ for hist, name in ((seq, "sequential"), (edge, "edge")):
           f"-> {out_dir / (name + '.txt')}")
 
 print("\n== isolated operations, one copy (ns/op, best of 3) ==")
-print(f"{'family':>8} {'glass':>8} {'rb-tree':>8} {'arena':>8}")
+print(f"{'family':>8} {'glass':>8} {'rb-tree':>8}")
 for family in ("insert", "erase", "find-e", "find-ne"):
     w = synth_workload(family, seed=2, count=512)
     cells = [
         best_of(s, w, copies=1, iterations=8, reps=3).ns_per_op
-        for s in ("glass", "rbt", "rbt-arena")
+        for s in ("glass", "rbt")
     ]
-    print(f"{family:>8} {cells[0]:>8.0f} {cells[1]:>8.0f} {cells[2]:>8.0f}")
+    print(f"{family:>8} {cells[0]:>8.0f} {cells[1]:>8.0f}")
 
 print("\n== feed replay through full books, a few copy counts ==")
 workload = replay_workload(events=events[:4000], max_size=256)

@@ -1,10 +1,8 @@
 """Baseline ordered maps the glass is benchmarked against.
 
 Python ships no ordered map, so the comparison target is the classic
-red-black tree in two builds: ``RBMap`` allocates a node object per
-insert (the everyday approach), ``RBMapArena`` keeps nodes in parallel
-arrays recycled through a slot free list (the custom-allocator
-counterpart). Both expose the same ADT surface as the glass.
+red-black tree, ``RBMap``, which allocates a node object per insert
+(the everyday approach) and exposes the same ADT surface as the glass.
 """
 
 from __future__ import annotations
@@ -328,339 +326,6 @@ class RBMap:
                         self._rotate_right(xp)
                         x = self.root
             x.red = BLACK
-        return True
-
-
-class RBMapArena:
-    """Red-black tree stored in parallel arrays with a slot free list.
-
-    Node 0 is the nil sentinel. Freed slots are recycled LIFO, so a
-    steady-state workload allocates nothing.
-    """
-
-    def __init__(self):
-        self.key = [0]
-        self.value = [None]
-        self.left = [0]
-        self.right = [0]
-        self.parent = [0]
-        self.red = [BLACK]
-        self.free = []
-        self.root = 0
-        self.count = 0
-
-    def __len__(self):
-        return self.count
-
-    def _new_node(self, key, value) -> int:
-        if self.free:
-            i = self.free.pop()
-            self.key[i] = key
-            self.value[i] = value
-        else:
-            i = len(self.key)
-            self.key.append(key)
-            self.value.append(value)
-            self.left.append(0)
-            self.right.append(0)
-            self.parent.append(0)
-            self.red.append(BLACK)
-        return i
-
-    def find(self, k):
-        key = self.key
-        left = self.left
-        right = self.right
-        x = self.root
-        while x:
-            kx = key[x]
-            if k < kx:
-                x = left[x]
-            elif k > kx:
-                x = right[x]
-            else:
-                return self.value[x]
-        return None
-
-    def min(self):
-        if not self.root:
-            return None
-        left = self.left
-        x = self.root
-        while left[x]:
-            x = left[x]
-        return self.key[x]
-
-    def max(self):
-        if not self.root:
-            return None
-        right = self.right
-        x = self.root
-        while right[x]:
-            x = right[x]
-        return self.key[x]
-
-    def next(self, k):
-        key = self.key
-        left = self.left
-        right = self.right
-        x = self.root
-        best = None
-        while x:
-            if key[x] > k:
-                best = key[x]
-                x = left[x]
-            else:
-                x = right[x]
-        return best
-
-    def prev(self, k):
-        key = self.key
-        left = self.left
-        right = self.right
-        x = self.root
-        best = None
-        while x:
-            if key[x] < k:
-                best = key[x]
-                x = right[x]
-            else:
-                x = left[x]
-        return best
-
-    def keys(self):
-        out = []
-        stack = []
-        x = self.root
-        while stack or x:
-            while x:
-                stack.append(x)
-                x = self.left[x]
-            x = stack.pop()
-            out.append(self.key[x])
-            x = self.right[x]
-        return out
-
-    def first_items(self, count, descending=False):
-        """See RBMap.first_items; index-array flavor."""
-        x = self.root
-        if not x:
-            return []
-        key, value, parent = self.key, self.value, self.parent
-        out = []
-        if not descending:
-            left, right = self.left, self.right
-        else:
-            left, right = self.right, self.left
-        while left[x]:
-            x = left[x]
-        while x and len(out) < count:
-            out.append((key[x], value[x]))
-            if right[x]:
-                x = right[x]
-                while left[x]:
-                    x = left[x]
-            else:
-                child = x
-                x = parent[x]
-                while x and child == right[x]:
-                    child = x
-                    x = parent[x]
-        return out
-
-    def _rotate_left(self, x):
-        left, right, parent = self.left, self.right, self.parent
-        y = right[x]
-        right[x] = left[y]
-        if left[y]:
-            parent[left[y]] = x
-        parent[y] = parent[x]
-        if not parent[x]:
-            self.root = y
-        elif x == left[parent[x]]:
-            left[parent[x]] = y
-        else:
-            right[parent[x]] = y
-        left[y] = x
-        parent[x] = y
-
-    def _rotate_right(self, x):
-        left, right, parent = self.left, self.right, self.parent
-        y = left[x]
-        left[x] = right[y]
-        if right[y]:
-            parent[right[y]] = x
-        parent[y] = parent[x]
-        if not parent[x]:
-            self.root = y
-        elif x == right[parent[x]]:
-            right[parent[x]] = y
-        else:
-            left[parent[x]] = y
-        right[y] = x
-        parent[x] = y
-
-    def insert(self, k, v) -> bool:
-        key, left, right = self.key, self.left, self.right
-        y = 0
-        x = self.root
-        while x:
-            y = x
-            kx = key[x]
-            if k < kx:
-                x = left[x]
-            elif k > kx:
-                x = right[x]
-            else:
-                return False
-        z = self._new_node(k, v)
-        parent, red = self.parent, self.red
-        left[z] = 0
-        right[z] = 0
-        parent[z] = y
-        red[z] = RED
-        if not y:
-            self.root = z
-        elif k < key[y]:
-            left[y] = z
-        else:
-            right[y] = z
-        self.count += 1
-        while red[parent[z]]:
-            zp = parent[z]
-            zpp = parent[zp]
-            if zp == left[zpp]:
-                u = right[zpp]
-                if red[u]:
-                    red[zp] = BLACK
-                    red[u] = BLACK
-                    red[zpp] = RED
-                    z = zpp
-                else:
-                    if z == right[zp]:
-                        z = zp
-                        self._rotate_left(z)
-                        zp = parent[z]
-                        zpp = parent[zp]
-                    red[zp] = BLACK
-                    red[zpp] = RED
-                    self._rotate_right(zpp)
-            else:
-                u = left[zpp]
-                if red[u]:
-                    red[zp] = BLACK
-                    red[u] = BLACK
-                    red[zpp] = RED
-                    z = zpp
-                else:
-                    if z == left[zp]:
-                        z = zp
-                        self._rotate_right(z)
-                        zp = parent[z]
-                        zpp = parent[zp]
-                    red[zp] = BLACK
-                    red[zpp] = RED
-                    self._rotate_left(zpp)
-        red[self.root] = BLACK
-        return True
-
-    def _transplant(self, u, v):
-        parent = self.parent
-        if not parent[u]:
-            self.root = v
-        elif u == self.left[parent[u]]:
-            self.left[parent[u]] = v
-        else:
-            self.right[parent[u]] = v
-        parent[v] = parent[u]
-
-    def erase(self, k) -> bool:
-        key, left, right = self.key, self.left, self.right
-        z = self.root
-        while z:
-            kz = key[z]
-            if k < kz:
-                z = left[z]
-            elif k > kz:
-                z = right[z]
-            else:
-                break
-        if not z:
-            return False
-        parent, red = self.parent, self.red
-        y = z
-        y_was_red = red[y]
-        if not left[z]:
-            x = right[z]
-            self._transplant(z, right[z])
-        elif not right[z]:
-            x = left[z]
-            self._transplant(z, left[z])
-        else:
-            y = right[z]
-            while left[y]:
-                y = left[y]
-            y_was_red = red[y]
-            x = right[y]
-            if parent[y] == z:
-                parent[x] = y
-            else:
-                self._transplant(y, right[y])
-                right[y] = right[z]
-                parent[right[y]] = y
-            self._transplant(z, y)
-            left[y] = left[z]
-            parent[left[y]] = y
-            red[y] = red[z]
-        self.value[z] = None
-        self.free.append(z)
-        self.count -= 1
-        if not y_was_red:
-            while x != self.root and not red[x]:
-                xp = parent[x]
-                if x == left[xp]:
-                    w = right[xp]
-                    if red[w]:
-                        red[w] = BLACK
-                        red[xp] = RED
-                        self._rotate_left(xp)
-                        w = right[xp]
-                    if not red[left[w]] and not red[right[w]]:
-                        red[w] = RED
-                        x = xp
-                    else:
-                        if not red[right[w]]:
-                            red[left[w]] = BLACK
-                            red[w] = RED
-                            self._rotate_right(w)
-                            w = right[xp]
-                        red[w] = red[xp]
-                        red[xp] = BLACK
-                        red[right[w]] = BLACK
-                        self._rotate_left(xp)
-                        x = self.root
-                else:
-                    w = left[xp]
-                    if red[w]:
-                        red[w] = BLACK
-                        red[xp] = RED
-                        self._rotate_right(xp)
-                        w = left[xp]
-                    if not red[right[w]] and not red[left[w]]:
-                        red[w] = RED
-                        x = xp
-                    else:
-                        if not red[left[w]]:
-                            red[right[w]] = BLACK
-                            red[w] = RED
-                            self._rotate_left(w)
-                            w = left[xp]
-                        red[w] = red[xp]
-                        red[xp] = BLACK
-                        red[left[w]] = BLACK
-                        self._rotate_right(xp)
-                        x = self.root
-            red[x] = BLACK
         return True
 
 

@@ -5,7 +5,7 @@ structures (all copies see every op before the next op runs), the way a
 feed handler fans one message out to many instruments' books. Timed
 passes call the structures and nothing else; result checksums come from
 a separate untimed pass so they never pollute the measurement. Speedup
-ratios are reported against both baseline map builds.
+ratios are reported against the red-black-tree baseline.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from ..errors import ConfigError
 from ..glass import create
 from ..orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 from .amplify import amplify
-from .baseline import BaselineBook, RBMap, RBMapArena
+from .baseline import BaselineBook, RBMap
 from .events import ADJUST, ASK, BEST, BID, ITER, NEXT_BEST, MarketEvent
 from .synth import absent_neighbors, local_price_sequence, market_events
 
 GLASS = "glass"
 RBT = "rbt"
-RBT_ARENA = "rbt-arena"
-STRUCTURES = (GLASS, RBT, RBT_ARENA)
+STRUCTURES = (GLASS, RBT)
 
 SYNTH_FAMILIES = ("insert", "erase", "find-e", "find-ne")
 REPLAY_FAMILIES = ("replay", "replay-iter")
@@ -117,8 +116,6 @@ def _map_factory(structure: str, workload: SynthWorkload) -> Callable[[], object
         )
     if structure == RBT:
         return RBMap
-    if structure == RBT_ARENA:
-        return RBMapArena
     raise ConfigError(f"unknown structure {structure!r}")
 
 
@@ -133,18 +130,13 @@ def _book_factory(structure: str, workload: ReplayWorkload) -> Callable[[], dict
         )
         return {BID: OrderBook(MAX_SIDE, **kw), ASK: OrderBook(MIN_SIDE, **kw)}
 
-    def baseline_pair(map_factory):
-        return {
-            BID: BaselineBook("max", map_factory),
-            ASK: BaselineBook("min", map_factory),
-        }
+    def rbt_pair():
+        return {BID: BaselineBook("max"), ASK: BaselineBook("min")}
 
     if structure == GLASS:
         return glass_pair
     if structure == RBT:
-        return lambda: baseline_pair(RBMap)
-    if structure == RBT_ARENA:
-        return lambda: baseline_pair(RBMapArena)
+        return rbt_pair
     raise ConfigError(f"unknown structure {structure!r}")
 
 
@@ -333,15 +325,10 @@ class RatioRow:
     copies: int
     glass_ns: float
     rbt_ns: float
-    arena_ns: float
 
     @property
     def ratio_rbt(self) -> float:
         return self.rbt_ns / self.glass_ns if self.glass_ns else 0.0
-
-    @property
-    def ratio_arena(self) -> float:
-        return self.arena_ns / self.glass_ns if self.glass_ns else 0.0
 
 
 def ratio_sweep(
@@ -349,9 +336,9 @@ def ratio_sweep(
     copies_list: Sequence[int] = range(1, MAX_COPIES + 1),
     iterations: int | None = None,
 ) -> list[RatioRow]:
-    """Glass-vs-baselines timing over a range of copy counts.
+    """Glass-vs-baseline timing over a range of copy counts.
 
-    Checksums of all three structures are cross-checked for every copy
+    Checksums of both structures are cross-checked for every copy
     count: a benchmark that computes different answers measures nothing.
     """
     rows = []
@@ -365,23 +352,12 @@ def ratio_sweep(
                 f"checksum mismatch across structures at copies={copies}: "
                 + ", ".join(f"{s}={r.checksum}" for s, r in results.items())
             )
-        rows.append(
-            RatioRow(
-                copies,
-                results[GLASS].ns_per_op,
-                results[RBT].ns_per_op,
-                results[RBT_ARENA].ns_per_op,
-            )
-        )
+        rows.append(RatioRow(copies, results[GLASS].ns_per_op, results[RBT].ns_per_op))
     return rows
 
 
 def write_ratio_csv(rows: list[RatioRow], path: str, family: str = ""):
     with open(path, "w") as f:
-        f.write("copies,glass_ns_per_op,rbt_ns_per_op,arena_ns_per_op,"
-                "ratio_vs_rbt,ratio_vs_arena\n")
+        f.write("copies,glass_ns_per_op,rbt_ns_per_op,ratio_vs_rbt\n")
         for r in rows:
-            f.write(
-                f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.arena_ns:.1f},"
-                f"{r.ratio_rbt:.3f},{r.ratio_arena:.3f}\n"
-            )
+            f.write(f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.ratio_rbt:.3f}\n")

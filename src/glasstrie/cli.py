@@ -44,11 +44,9 @@ def _emit_rows(rows, out_path: str | None, family: str):
         write_ratio_csv(rows, out_path, family)
         print(f"{family}: wrote {out_path}")
         return
-    print("copies,glass_ns_per_op,rbt_ns_per_op,arena_ns_per_op,"
-          "ratio_vs_rbt,ratio_vs_arena")
+    print("copies,glass_ns_per_op,rbt_ns_per_op,ratio_vs_rbt")
     for r in rows:
-        print(f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.arena_ns:.1f},"
-              f"{r.ratio_rbt:.3f},{r.ratio_arena:.3f}")
+        print(f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.ratio_rbt:.3f}")
 
 
 def cmd_bench_synth(args) -> int:

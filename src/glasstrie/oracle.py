@@ -353,7 +353,8 @@ def fuzz_run(
     Returns None when every result matched, else the first divergence.
     ``structure`` overrides the glass under test (harness self-tests);
     ``check_every`` > 0 additionally runs the full structural-integrity
-    walk at that op interval.
+    walk at that op interval. The ordered walks are compared with the
+    reference at each such point and after the last op.
     """
     size_cap = trace.size_cap if isinstance(trace, OpTrace) else None
     g = structure
@@ -363,6 +364,7 @@ def fuzz_run(
             max_size = min(max_size, max(size_cap * 2, 64))
         g = config.build(max_size)
     ref = RefMap()
+    i = -1
     for i, op in enumerate(trace):
         expected = ref_apply(ref, op)
         got = _glass_apply(g, op)
@@ -377,6 +379,30 @@ def fuzz_run(
         if check_every and i % check_every == 0:
             g.check_integrity()
             _check_edges(g, ref)
+            div = _check_walks(g, ref, i)
+            if div is not None:
+                return div
+    return _check_walks(g, ref, i + 1)
+
+
+def _check_walks(g: Glass, ref: RefMap, index: int) -> Divergence | None:
+    """The (key, value) pairs of an ``iter_next`` walk from ``min()``, an
+    ``iter_prev`` walk from ``max()`` and ``first_items`` in both
+    directions against the reference's; the first mismatch, or None."""
+    ascending = [(k, ref.find(k)) for k in ref.keys()]
+    for descending in (False, True):
+        want = ascending[::-1] if descending else ascending
+        step = g.iter_prev if descending else g.iter_next
+        it = g.max() if descending else g.min()
+        walked = []
+        while it is not None and len(walked) <= len(want):
+            walked.append((it.key, g.value_at(it)))
+            it = step(it)
+        if walked != want:
+            return Divergence(index, ("iter_prev" if descending else "iter_next",), want, walked)
+        bulk = g.first_items(len(g), descending)
+        if bulk != want:
+            return Divergence(index, ("first_items", descending), want, bulk)
     return None
 
 

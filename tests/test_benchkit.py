@@ -270,7 +270,7 @@ class TestBench:
 
 
 class TestBaselines:
-    @pytest.mark.parametrize("factory_name", ["RBMap", "RBMapArena"])
+    @pytest.mark.parametrize("factory_name", ["RBMap"])
     def test_against_reference_map(self, factory_name):
         from glasstrie.benchkit import baseline
         from glasstrie.oracle import RefMap
@@ -295,7 +295,7 @@ class TestBaselines:
         assert tree.keys() == ref.keys()
         assert len(tree) == len(ref)
 
-    @pytest.mark.parametrize("factory_name", ["RBMap", "RBMapArena"])
+    @pytest.mark.parametrize("factory_name", ["RBMap"])
     def test_ordered_walks(self, factory_name):
         from glasstrie.benchkit import baseline
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from glasstrie.bitops import TrieGeometry, clz
 from glasstrie.errors import ConfigError, GlassFull, InvalidArgument
 from glasstrie.glass import BAD, EAGER, LAZY, Glass, Iterator, create
 from glasstrie.nodepool import CapacityModel, max_size_for_capacity
+from glasstrie.oracle import RefMap
 
 
 def small_glass(**kw) -> Glass:
@@ -100,6 +105,68 @@ class TestBasicOps:
             out.append(it.key)
             it = g.iter_prev(it)
         assert out == keys[::-1]
+
+
+class TestOutOfRangeKeys:
+    #: keys outside [0, 2**16): each once answered with a stored or an
+    #: invented key
+    OUTSIDE = (-65531, -3796, -1, 1 << 16, 786437)
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_reads_and_erase_match_reference(self, cache_table):
+        g = create(16, 4, width=16, max_size=256, cache_table=cache_table)
+        ref = RefMap()
+        for k in self.OUTSIDE:
+            assert (g.next(k), g.prev(k)) == (None, None)
+        for k in (5, 6, 7, 300):
+            g.insert(k, k * 10)
+            ref.insert(k, k * 10)
+        for k in self.OUTSIDE:
+            assert g.find(k) is None
+            assert g.locate(k) is None
+            assert g.next(k) == ref.next(k)
+            assert g.prev(k) == ref.prev(k)
+            assert g.erase(k) is False
+        assert g.keys() == ref.keys()
+        g.check_integrity()
+
+    @pytest.mark.parametrize("key", [-1, 1 << 16])
+    def test_insert_rejects_key(self, key):
+        g = small_glass()
+        g.insert(5, 5)
+        with pytest.raises(InvalidArgument):
+            g.insert(key, 1)
+        assert g.keys() == [5]
+
+    def test_insert_rejects_none_value(self):
+        g = small_glass()
+        with pytest.raises(InvalidArgument):
+            g.insert(5, None)
+        assert len(g) == 0 and g.find(5) is None
+
+    def test_insert_checks_survive_optimize(self):
+        # asserts vanish under python -O; the checks must not
+        code = (
+            "from glasstrie import create\n"
+            "from glasstrie.errors import InvalidArgument\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "g = create(16, 4, width=16, max_size=256)\n"
+            "for key, value in ((-1, 1), (5, None)):\n"
+            "    try:\n"
+            "        g.insert(key, value)\n"
+            "    except InvalidArgument:\n"
+            "        continue\n"
+            "    raise SystemExit(f'insert({key}, {value}) was accepted')\n"
+            "if len(g) or g.keys():\n"
+            "    raise SystemExit(f'glass holds {g.keys()}')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr + done.stdout
 
 
 class TestLocateSetValue:
@@ -259,10 +326,13 @@ class TestCacheTableIntegration:
         g = small_glass(cache_table=True)
         for k in range(64, 96):
             g.insert(k, k)
-        g.descent_steps = 0
+
+        def no_descent(key):
+            raise AssertionError(f"find({key}) descended despite a table hit")
+
+        g._descend = no_descent
         for k in range(64, 96):
             assert g.find(k) == k
-        assert g.descent_steps == 0
 
     def test_results_identical_without_table(self):
         rng = random.Random(12)
@@ -363,13 +433,13 @@ class TestStructure:
     def test_locality_starts_descents_deep(self):
         g = create(key_bits=50, chunk_bits=5, width=16, max_size=4096)
         g.insert(1 << 25, 0)
-        g.jump_depth_sum = 0
-        g.jump_count = 0
+        depths = []
         key = 1 << 25
         for i in range(1, 1000):
             key += 1 if i % 3 else 2
+            depths.append(g._jump(key)[0])
             g.insert(key, i)
-        assert g.jump_depth_sum / g.jump_count >= 1.0
+        assert sum(depths) / len(depths) >= 1.0
 
 
 class TestOracleEquivalence:
