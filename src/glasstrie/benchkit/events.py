@@ -9,7 +9,7 @@ query), ``T <side> <depth>`` (iterate best levels). Side is ``B``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..errors import MalformedEvent
 
@@ -93,14 +93,3 @@ def write_events(events: Iterable[MarketEvent], path: str, header: str = ""):
         for ev in events:
             f.write(ev.to_line() + "\n")
 
-
-def iter_events(path: str) -> Iterator[MarketEvent]:
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                yield parse_event(line)
-            except MalformedEvent as e:
-                raise MalformedEvent(f"{path}:{lineno}: {e}") from e

@@ -21,8 +21,12 @@ primitives: ``_jump`` (the cached-path jump), ``_descend`` (the
 read-only descent from it) and ``_climb`` (scan a node's mask past the
 key, climb parents until a sibling subtree exists, roll down its edge).
 ``insert`` shares ``_jump`` and keeps its own descent, which rewrites
-the cached path as it goes. Two copies stay inlined because routing
-them through a shared helper measured slower:
+the cached path as it goes. It has two arms: a descent that reaches the
+pre-leaf sets a slot there and returns; any other, an empty glass
+included (a descent that stops above the root), builds the missing
+suffix from one ``Pool.allocate_many`` batch in one loop. Three copies
+stay inlined because routing them through a shared helper measured
+slower:
 
 * ``first_items`` walks with its own climb loop: with its climbs routed
   through ``_climb``, ``first_items(10)`` over sparse keys took 1.35-1.5x
@@ -30,7 +34,14 @@ them through a shared helper measured slower:
 * ``_preleaf_of`` probes the cache table itself: routed through
   ``CacheTable.lookup``, an absent-key ``find`` took 1.17x as long and a
   present one 1.09-1.26x. ``CacheTable.lookup`` stays the instrumented
-  model of the same probe.
+  model of the same probe;
+* ``find`` carries its own copy of that probe and reads the slot on a
+  hit: routed through ``_preleaf_of`` and a mask test, its local
+  find-existing ratio against the red-black tree (acceptance criterion
+  9's estimator, median of 20 interleaved rounds on a shared 2-CPU
+  Xeon, CPython 3.11.7) fell from 1.53 to 1.01, below 1.0 in 8 rounds
+  of 20 rather than 1. ``locate`` and ``erase`` keep using
+  ``_preleaf_of``.
 """
 
 from __future__ import annotations
@@ -238,7 +249,7 @@ class Glass:
             raise InvalidArgument(f"key {key} is outside [0, 2**{self.geo.key_bits})")
         if value is None:
             raise InvalidArgument("None is reserved for absent keys")
-        pool = self.pool
+        inv = self._invalid
         fanout = self._fanout
         n_mask = self._nmask
         c_bits = self._cbits
@@ -247,117 +258,83 @@ class Glass:
         mask = self._mask
         children = self._children
 
-        if self.root == self._invalid:
-            if self.size >= self.max_size:
-                raise GlassFull(f"glass is at its maximum size {self.max_size}")
-            nodes = pool.allocate_many(self._levels)
-            self.root = nodes[0]
-            pool.parent[nodes[0]] = self._invalid
-            offset = c_bits * last
-            for depth in range(last):
-                c = (key >> offset) & n_mask
-                node, child = nodes[depth], nodes[depth + 1]
-                mask[node] = 1 << c
-                children[node * fanout + c] = child
-                pool.parent[child] = node
-                offset -= c_bits
-            preleaf = nodes[last]
-            c = key & n_mask
-            mask[preleaf] = 1 << c
-            self._values[preleaf * fanout + c] = value
-            self.size = 1
-            rho[: self._levels] = nodes
-            self.last_key = key
-            self.path_len = self._levels
-            it = Iterator(preleaf, key)
-            self._first = it
-            self._last = it
-            if self.table is not None:
-                self.table.insert(key >> c_bits, preleaf)
-            return True
-
-        depth, node = self._jump(key)
-        rho[depth] = node
-        offset = c_bits * (last - depth)
-        while depth < last:
-            c = (key >> offset) & n_mask
-            if not (mask[node] >> c) & 1:
-                break
-            node = children[node * fanout + c]
-            offset -= c_bits
-            depth += 1
-            rho[depth] = node
+        if self.root == inv:
+            # an empty glass: the descent stops above the root
+            depth = -1
+            offset = c_bits * self._levels
         else:
-            # reached the pre-leaf: the slot bit decides. The descent
-            # overwrote rho with this key's ancestors, so the cached
-            # path must follow the key even when nothing is inserted.
-            self.last_key = key
-            self.path_len = self._levels
-            c = key & n_mask
-            if (mask[node] >> c) & 1:
-                return False
-            if self.size >= self.max_size:
-                raise GlassFull(f"glass is at its maximum size {self.max_size}")
-            mask[node] |= 1 << c
-            self._values[node * fanout + c] = value
-            self.size += 1
-            first = self._first
-            if first is not BAD and key < first[1]:
-                self._first = Iterator(node, key)
-            lastit = self._last
-            if lastit is not BAD and key > lastit[1]:
-                self._last = Iterator(node, key)
-            return True
+            depth, node = self._jump(key)
+            rho[depth] = node
+            offset = c_bits * (last - depth)
+            while depth < last:
+                c = (key >> offset) & n_mask
+                if not (mask[node] >> c) & 1:
+                    break
+                node = children[node * fanout + c]
+                offset -= c_bits
+                depth += 1
+                rho[depth] = node
+            else:
+                # reached the pre-leaf: the slot bit decides. The descent
+                # overwrote rho with this key's ancestors, so the cached
+                # path must follow the key even when nothing is inserted.
+                self.last_key = key
+                self.path_len = self._levels
+                c = key & n_mask
+                if (mask[node] >> c) & 1:
+                    return False
+                if self.size >= self.max_size:
+                    raise GlassFull(f"glass is at its maximum size {self.max_size}")
+                mask[node] |= 1 << c
+                self._values[node * fanout + c] = value
+                self.size += 1
+                first = self._first
+                if first is not BAD and key < first[1]:
+                    self._first = Iterator(node, key)
+                lastit = self._last
+                if lastit is not BAD and key > lastit[1]:
+                    self._last = Iterator(node, key)
+                return True
 
-        # descent stopped early; rho[0..depth] already describes this key
+        # the descent stopped at ``depth``; rho[0..depth] describes this key
         self.last_key = key
         self.path_len = depth + 1
         if self.size >= self.max_size:
             raise GlassFull(f"glass is at its maximum size {self.max_size}")
-        # allocate the missing suffix in one batch
-        missing = last - depth
-        if missing == 1 and pool.first_free != self._invalid and pool.first_free < pool.capacity:
-            # single fresh pre-leaf: pop the free-list head inline
-            preleaf = pool.first_free
-            link = pool.free_link[preleaf]
-            if pool.trash_encoding:
-                nxt = preleaf + 1 if link == 0 else (self._invalid if link == 1 else link - 2)
-            else:
-                nxt = link
-            pool.first_free = nxt
-            pool.live_count += 1
-            if pool.debug:
-                pool._free_set.discard(preleaf)
-            nodes = (preleaf,)
+        # build the missing suffix, depths depth+1 .. last, in one batch
+        nodes = self.pool.allocate_many(last - depth)
+        parent_arr = self._parent
+        parent = nodes[0]
+        if depth < 0:
+            self.root = parent
+            parent_arr[parent] = inv
         else:
-            nodes = pool.allocate_many(missing)
-        c = (key >> offset) & n_mask
-        mask[node] |= 1 << c
-        children[node * fanout + c] = nodes[0]
-        pool.parent[nodes[0]] = node
-        offset -= c_bits
-        depth += 1
-        rho[depth] = nodes[0]
-        for i in range(missing - 1):
             c = (key >> offset) & n_mask
-            parent, child = nodes[i], nodes[i + 1]
+            mask[node] |= 1 << c
+            children[node * fanout + c] = parent
+            parent_arr[parent] = node
+        depth += 1
+        rho[depth] = parent
+        for child in nodes[1:]:
+            offset -= c_bits
+            c = (key >> offset) & n_mask
             mask[parent] = 1 << c
             children[parent * fanout + c] = child
-            pool.parent[child] = parent
-            offset -= c_bits
+            parent_arr[child] = parent
             depth += 1
             rho[depth] = child
-        preleaf = nodes[-1]
+            parent = child
+        preleaf = parent
         c = key & n_mask
         mask[preleaf] = 1 << c
         self._values[preleaf * fanout + c] = value
         self.size += 1
         self.path_len = self._levels
         first = self._first
-        if first is not BAD and key < first[1]:
+        if first is None or (first is not BAD and key < first[1]):
             self._first = Iterator(preleaf, key)
         lastit = self._last
-        if lastit is not BAD and key > lastit[1]:
+        if lastit is None or (lastit is not BAD and key > lastit[1]):
             self._last = Iterator(preleaf, key)
         table = self.table
         if table is not None:
@@ -372,7 +349,26 @@ class Glass:
 
         Resolution order: cache table (when enabled), then a descent
         from the cached path. A definitive table answer never descends.
+        The probe is ``_preleaf_of``'s, inlined (module docstring): on a
+        hit the slot is read at once, since a slot is None exactly when
+        its mask bit is clear.
         """
+        heads = self._heads
+        if heads is not None:
+            inv = self._invalid
+            key_hi = key >> self._cbits
+            p = heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
+            cache_key = self._cache_key
+            chain_next = self._chain_next
+            probes = 0
+            while p != inv and probes < PROBE_LIMIT:
+                if cache_key[p] == key_hi:
+                    return self._values[p * self._fanout + (key & self._nmask)]
+                p = chain_next[p]
+                probes += 1
+            if p == inv:
+                return None
+            # don't-know: _preleaf_of probes again, then descends
         preleaf = self._preleaf_of(key)
         if preleaf != self._invalid:
             c = key & self._nmask
@@ -710,10 +706,10 @@ class Glass:
     def check_integrity(self, deep: bool = True):
         """Walk the whole structure and assert every invariant.
 
-        Test harness use only. The walk itself is O(size); ``deep`` adds
-        the cache-table membership and key-prefix reconstruction checks,
-        which cost O(size * fanout * levels) and are meant for sampled
-        rather than per-op use.
+        Test harness use only. One walk from the root, O(size * fanout),
+        checks the trie and collects each live pre-leaf's key prefix;
+        ``deep`` adds a walk of every cache-table chain, checking that
+        it holds exactly those pre-leafs under exactly those prefixes.
         """
         pool = self.pool
         geo = self.geo
@@ -724,16 +720,16 @@ class Glass:
             return
         seen = set()
         elements = 0
-        preleafs = 0
-        stack = [(self.root, 0)]
+        prefixes = {}  # live pre-leaf -> its true key prefix
+        stack = [(self.root, 0, 0)]
         while stack:
-            node, depth = stack.pop()
+            node, depth, prefix = stack.pop()
             assert node not in seen, "cycle in trie"
             seen.add(node)
             m = pool.mask[node]
             assert m != 0, f"childless interior node {node} at depth {depth}"
             if depth == geo.levels - 1:
-                preleafs += 1
+                prefixes[node] = prefix
                 for c in range(fanout):
                     if (m >> c) & 1:
                         elements += 1
@@ -746,7 +742,7 @@ class Glass:
                 if (m >> c) & 1:
                     assert child != pool.invalid
                     assert pool.parent[child] == node
-                    stack.append((child, depth + 1))
+                    stack.append((child, depth + 1, (prefix << geo.chunk_bits) | c))
                 else:
                     assert child in (0, pool.invalid), (
                         f"stale child handle under clear bit: node {node} slot {c}"
@@ -764,45 +760,17 @@ class Glass:
                 node = pool.children[node * fanout + c]
                 assert self.rho[i] == node
                 offset -= geo.chunk_bits
-        # cache table: one entry per live pre-leaf
+        # cache table: one entry per live pre-leaf, under its true prefix
         if self.table is not None:
-            assert self.table.count == preleafs
+            assert self.table.count == len(prefixes)
             if deep:
                 chained = {}
                 for b in range(self.table.bucket_count):
                     for p in self.table.chain(b):
                         chained[p] = pool.cache_key[p]
-                assert set(chained) == {
-                    n for n in seen if self._depth_of(n) == geo.levels - 1
-                }
+                assert set(chained) == set(prefixes)
                 for p, key_hi in chained.items():
-                    lowest = (pool.mask[p] & -pool.mask[p]).bit_length() - 1
-                    # reconstructing any stored key must reproduce the prefix
-                    assert key_hi == self._key_of_preleaf(p, lowest) >> geo.chunk_bits
-
-    def _depth_of(self, node: int) -> int:
-        d = 0
-        while self.pool.parent[node] != self.pool.invalid:
-            node = self.pool.parent[node]
-            d += 1
-        return d
-
-    def _key_of_preleaf(self, preleaf: int, slot: int) -> int:
-        """Reconstruct a stored key by walking parent links upward."""
-        pool = self.pool
-        geo = self.geo
-        key = slot
-        node = preleaf
-        offset = geo.chunk_bits
-        while pool.parent[node] != pool.invalid:
-            parent = pool.parent[node]
-            for c in range(geo.fanout):
-                if (pool.mask[parent] >> c) & 1 and pool.children[parent * geo.fanout + c] == node:
-                    key |= c << offset
-                    break
-            node = parent
-            offset += geo.chunk_bits
-        return key
+                    assert key_hi == prefixes[p], f"pre-leaf {p} chained under a wrong prefix"
 
 
 def create(

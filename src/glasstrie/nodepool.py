@@ -1,14 +1,19 @@
 """Fixed-layout trie node pool with a free-list slot allocator.
 
 Nodes live in parallel arrays indexed by integer handles rather than
-machine pointers; a handle fits 16 or 32 bits, with the top two values
-of the range reserved (INVALID for "end / not found", BAD for spoiled
-cached iterators), so capacity never exceeds 2**width - 2.
+machine pointers; a handle fits 16 or 32 bits. The top two values of the
+range stay reserved, as in the paper's layout (INVALID for "end / not
+found", and one for spoiled cached iterators, which the glass marks with
+its own ``BAD`` object instead), so capacity never exceeds 2**width - 2.
 
 Free slots form a singly-linked list threaded through the ``free_link``
 field. With trash encoding enabled that field is stored so that
 all-zero memory reads as "next slot in the array", which keeps the
 never-touched tail of a freshly (pre-)allocated pool byte-for-byte zero.
+Only ``_next_free_of`` decodes a link. Every node leaves the pool through
+one pop loop, in ``allocate_many``, which grows the arrays when the list
+runs dry. Growth is all or nothing: a request the pool cannot cover
+raises ``PoolExhausted`` before any node is taken or any array grows.
 """
 
 from __future__ import annotations
@@ -24,10 +29,6 @@ NODE_BYTES = {16: 48, 32: 80}
 
 def invalid_handle(width: int) -> int:
     return (1 << width) - 1
-
-
-def bad_handle(width: int) -> int:
-    return (1 << width) - 2
 
 
 def trash_decode(stored: int, slot: int) -> int | None:
@@ -84,7 +85,6 @@ class Pool:
         self.geo = geo
         self.width = width
         self.invalid = invalid_handle(width)
-        self.bad = bad_handle(width)
         self.max_capacity = max_capacity
         self.trash_encoding = trash_encoding
         self.debug = debug  # double-free tracking (a debug-build check)
@@ -116,10 +116,8 @@ class Pool:
             link[end - 1] = self.invalid
 
     def _grow(self):
-        if self.capacity >= self.max_capacity:
-            raise PoolExhausted(
-                f"pool at configured maximum capacity {self.max_capacity}"
-            )
+        """Double the arrays, up to ``max_capacity``; the caller has
+        checked that there is room. The new slots become the free list."""
         new_cap = min(self.max_capacity, max(16, self.capacity * 2))
         added = new_cap - self.capacity
         n = self.geo.fanout
@@ -145,17 +143,8 @@ class Pool:
         return self.free_link[p]
 
     def allocate(self) -> int:
-        """Pop the free-list head; grows the array only when it is empty."""
-        p = self.first_free
-        if p == self.invalid or p >= self.capacity:
-            self._grow()
-            p = self.first_free
-        self.first_free = self._next_free_of(p)
-        self.live_count += 1
-        if self.debug:
-            self._free_set.discard(p)
-        assert self.mask[p] == 0, "allocated node must arrive blank"
-        return p
+        """Pop one node; see :meth:`allocate_many`."""
+        return self.allocate_many(1)[0]
 
     def deallocate(self, p: int):
         """Push ``p`` onto the free-list head; O(1), no traversal.
@@ -183,31 +172,33 @@ class Pool:
         self.live_count -= 1
 
     def allocate_many(self, count: int) -> list[int]:
-        """Allocate ``count`` nodes with a single head read/write when the
-        free list already holds that many; observable result is the same
-        as ``count`` single allocations."""
-        assert count >= 1
+        """Pop ``count`` nodes off the free list, growing the arrays
+        whenever it runs dry; the same nodes as ``count`` single pops.
+
+        All or nothing: when growth cannot cover what is still missing,
+        PoolExhausted is raised before any node is taken, and the pool
+        is left as it was. Every node handed out must arrive blank.
+        """
         out = []
         p = self.first_free
-        while len(out) < count and p != self.invalid and p < self.capacity:
+        inv = self.invalid
+        mask = self.mask
+        while len(out) < count:
+            if p == inv or p >= self.capacity:
+                missing = count - len(out)
+                if self.max_capacity - self.capacity < missing:
+                    raise PoolExhausted(
+                        f"{missing} more nodes needed, pool capped at {self.max_capacity}"
+                    )
+                self._grow()
+                p = self.first_free
+            assert mask[p] == 0, "allocated node must arrive blank"
             out.append(p)
             p = self._next_free_of(p)
-        if len(out) == count:
-            self.first_free = p
-            self.live_count += count
-            if self.debug:
-                self._free_set.difference_update(out)
-            return out
-        # too few chained slots: fall back to one-by-one (may grow);
-        # roll back cleanly if the pool cannot satisfy the request
-        out = []
-        try:
-            for _ in range(count):
-                out.append(self.allocate())
-        except PoolExhausted:
-            for p in reversed(out):
-                self.deallocate(p)
-            raise
+        self.first_free = p
+        self.live_count += count
+        if self.debug:
+            self._free_set.difference_update(out)
         return out
 
     def free_list_slots(self) -> list[int]:

@@ -219,12 +219,9 @@ class OrderBook:
 
     def levels(self) -> list[tuple[int, int]]:
         """Every level, best first (test helper; walks everything)."""
-        glass_keys = self.glass.keys()
-        if self.side == MAX_SIDE:
-            glass_keys.reverse()
-        out = [(k, self.glass.find(k)) for k in glass_keys]
-        rest = sorted(self.overflow.items(), reverse=self.side == MAX_SIDE)
-        return out + rest
+        descending = self.side == MAX_SIDE
+        rest = sorted(self.overflow.items(), reverse=descending)
+        return self.glass.first_items(self.glass.size, descending) + rest
 
     def check_invariants(self):
         """Assert the glass/overflow partition; test harness use."""

@@ -442,6 +442,72 @@ class TestStructure:
         assert sum(depths) / len(depths) >= 1.0
 
 
+class TestAllocationRoute:
+    @pytest.mark.parametrize("cache_table", [True, False])
+    @pytest.mark.parametrize("trash_encoding", [True, False])
+    def test_every_node_comes_through_allocate_many(self, cache_table, trash_encoding):
+        g = small_glass(max_size=64, cache_table=cache_table, trash_encoding=trash_encoding)
+        pool = g.pool
+        counted = 0
+        allocate_many, deallocate = pool.allocate_many, pool.deallocate
+
+        def counting_allocate_many(count):
+            nonlocal counted
+            counted += count
+            return allocate_many(count)
+
+        def counting_deallocate(p):
+            nonlocal counted
+            counted -= 1
+            deallocate(p)
+
+        pool.allocate_many = counting_allocate_many
+        pool.deallocate = counting_deallocate
+        rng = random.Random(31)
+        live = set()
+        for _ in range(5):
+            # clustered keys mostly fill existing pre-leafs or add one
+            # fresh pre-leaf; spread keys need longer suffixes
+            for _ in range(60):
+                if rng.random() < 0.6:
+                    k = 0x4000 + rng.randrange(256)
+                else:
+                    k = rng.randrange(1 << 16)
+                if k in live or len(live) < 64:
+                    g.insert(k, k)
+                    live.add(k)
+                assert counted == pool.live_count
+            # erase to empty, then refill on the next round
+            for k in rng.sample(sorted(live), len(live)):
+                g.erase(k)
+                assert counted == pool.live_count
+            live.clear()
+            assert len(g) == 0 and counted == 0
+            g.check_integrity()
+        g.insert(0x4001, 1)
+        assert counted == pool.live_count == g._levels
+
+    @pytest.mark.parametrize("case", ["empty glass", "new slot", "new suffix"])
+    def test_glass_full_changes_nothing(self, case):
+        if case == "empty glass":
+            g = small_glass(max_size=0)
+        else:
+            g = small_glass(max_size=2)
+            g.insert(0x1230, 1)
+            g.insert(0x8000, 2)
+        key = 0x1231 if case == "new slot" else 0x5678
+
+        def state():
+            return g.dump(), len(g), g.pool.live_count, g.pool.free_list_slots()
+
+        before = state()
+        with pytest.raises(GlassFull):
+            g.insert(key, 3)
+        assert state() == before
+        assert g.find(key) is None
+        g.check_integrity()
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("cache_table", [True, False])
     @pytest.mark.parametrize("edge_mode", [EAGER, LAZY])

@@ -152,6 +152,61 @@ class TestAllocator:
         assert pool.live_count + len(sim.free) == cap
 
 
+@pytest.mark.parametrize("trash", [True, False])
+class TestGrowth:
+    def test_allocate_many_across_growth_matches_single_allocations(self, trash):
+        rng = random.Random(5)
+        cap = 300
+        pool = make_pool(cap=cap, trash=trash, prealloc=False)
+        twin = make_pool(cap=cap, trash=trash, prealloc=False)
+        sim = FreeListSim(cap)
+        live = []
+        grown = 0
+        for _ in range(300):
+            if live and rng.random() < 0.3:
+                p = live.pop(rng.randrange(len(live)))
+                pool.deallocate(p)
+                twin.deallocate(p)
+                sim.deallocate(p)
+            else:
+                n = rng.randint(1, 12)
+                if pool.live_count + n > cap:
+                    continue
+                before = pool.capacity
+                got = pool.allocate_many(n)
+                assert got == [twin.allocate() for _ in range(n)]
+                assert got == [sim.allocate() for _ in range(n)]
+                grown += pool.capacity > before
+                live.extend(got)
+        assert grown >= 4
+        assert pool.capacity == twin.capacity
+        assert pool.free_list_slots() == twin.free_list_slots()
+
+    def test_failed_growth_leaves_pool_unchanged(self, trash):
+        pool = make_pool(cap=20, trash=trash, prealloc=False)
+        live = [pool.allocate() for _ in range(14)]
+
+        def state():
+            return (pool.live_count, pool.capacity, pool.first_free,
+                    pool.free_list_slots(), set(pool._free_set), len(pool.mask))
+
+        before = state()
+        with pytest.raises(PoolExhausted):
+            pool.allocate_many(8)
+        assert state() == before
+        live += [pool.allocate() for _ in range(6)]
+        assert sorted(live) == list(range(20))
+        with pytest.raises(PoolExhausted):
+            pool.allocate()
+
+    def test_every_node_handed_out_is_checked_blank(self, trash):
+        pool = make_pool(cap=8, trash=trash)
+        pool.mask[2] = 1
+        with pytest.raises(AssertionError, match="blank"):
+            pool.allocate_many(4)
+        assert pool.live_count == 0
+
+
 class TestZeroedTail:
     def test_untouched_suffix_stays_zero(self):
         pool = make_pool(cap=64, trash=True)

@@ -89,6 +89,16 @@ class TestAdjust:
         assert (g.pool.live_count, g.last_key, g.path_len, g.size) == state
         assert book.levels() == [(100, 3), (200, 5), (300, 9)]
 
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_levels_best_first_across_glass_and_overflow(self, side):
+        book = make(side, max_size=4)
+        prices = [5, 1, 9, 3, 7, 2, 8]
+        for p in prices:
+            book.adjust(p, p * 10)
+        assert book.overflow
+        assert book.levels() == sorted(((p, p * 10) for p in prices),
+                                       reverse=side == MAX_SIDE)
+
 
 class TestPreemption:
     def test_ascending_overflow_sets_threshold(self):
