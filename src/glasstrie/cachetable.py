@@ -7,10 +7,18 @@ lookup inspects at most PROBE_LIMIT chain elements so it can answer
 "don't know" instead of walking long chains. Only pre-leaf nodes are
 ever registered; the stored key is the element key without its last
 chunk.
+
+The table is sized from the pool's cap, ``pool.max_capacity``, never
+from the nodes it holds now: the default bucket count is the largest
+power of two within the cap, and ``maybe_grow`` doubles only while the
+doubled array still fits it. A pool that grows lazily therefore gets the
+same bucket count, and the same don't-know rate, as a preallocated pool
+of the same cap.
 """
 
 from __future__ import annotations
 
+from .errors import ConfigError
 from .nodepool import Pool
 
 #: chain elements a lookup may inspect before giving up (the paper of
@@ -34,8 +42,9 @@ class CacheTable:
 
     def __init__(self, pool: Pool, buckets: int | None = None):
         if buckets is None:
-            buckets = _floor_pow2(max(1, pool.capacity))
-        assert buckets & (buckets - 1) == 0, "bucket count must be a power of two"
+            buckets = _floor_pow2(max(1, pool.max_capacity))
+        if buckets < 1 or buckets & (buckets - 1):
+            raise ConfigError(f"bucket count must be a positive power of two, got {buckets}")
         self.pool = pool
         self.bucket_count = buckets
         self.heads = [pool.invalid] * buckets
@@ -143,8 +152,8 @@ class CacheTable:
 
     def maybe_grow(self):
         """Double once the load factor passes one, while the doubled
-        bucket array still fits the pool's capacity."""
-        if self.count > self.bucket_count and self.bucket_count * 2 <= self.pool.capacity:
+        bucket array still fits the pool's cap."""
+        if self.count > self.bucket_count and self.bucket_count * 2 <= self.pool.max_capacity:
             self.grow()
 
     def chain(self, bucket: int) -> list[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitops import TrieGeometry
-from .errors import ConfigError, PoolExhausted
+from .errors import ConfigError, InvalidArgument, PoolExhausted
 
 #: bytes per node for each supported handle width
 NODE_BYTES = {16: 48, 32: 80}
@@ -234,7 +234,8 @@ def capacity_bound_for_size(size: int, model: CapacityModel) -> int:
     2**root_bits, and each further level at most fanout times the level
     above; no level can exceed ``size`` nodes.
     """
-    assert size >= 0
+    if size < 0:
+        raise InvalidArgument(f"element count must not be negative, got {size}")
     geo = model.geo
     total = 0
     level = min(size, 1)
@@ -253,7 +254,8 @@ def max_size_for_capacity(capacity: int, model: CapacityModel) -> int:
     Binary search over the monotone bound; the answer never exceeds the
     full key space.
     """
-    assert capacity >= 0
+    if capacity < 0:
+        raise InvalidArgument(f"capacity must not be negative, got {capacity}")
     lo, hi = 0, 1 << model.geo.key_bits
     while lo < hi:
         mid = (lo + hi + 1) // 2

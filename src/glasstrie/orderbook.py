@@ -9,6 +9,18 @@ moves the best overflow levels back into the glass and recomputes the
 threshold. Queries never range past the configured best-price window,
 so a restructure always finds room; a full glass at that point means
 the caller broke the window contract and gets an error.
+
+A book's glass grows its pool with the live levels (``create`` with
+``preallocate=False``), under the same cap, the node bound for
+``max_size``. A book side is sized for the worst case but holds far
+fewer levels: on a trending feed about a hundred of the 64,057 nodes a
+default side may use are live, so preallocating would spend tens of
+megabytes and most of the set-up time on memory no op touches. The
+bucket array is still sized from the cap (see ``cachetable``), so the
+don't-know rate is the one the capacity model assumes. A map filled
+close to its bound is better served by ``create``'s default, which
+preallocates: growing by doubling costs it transient copies of every
+array.
 """
 
 from __future__ import annotations
@@ -39,7 +51,6 @@ class OrderBook:
         key_bits: int = 50,
         chunk_bits: int = 5,
         width: int = 16,
-        glass_kwargs: dict | None = None,
     ):
         if side not in (MIN_SIDE, MAX_SIDE):
             raise ConfigError(f"side must be {MIN_SIDE!r} or {MAX_SIDE!r}")
@@ -55,7 +66,7 @@ class OrderBook:
             chunk_bits=chunk_bits,
             width=width,
             max_size=max_size,
-            **(glass_kwargs or {}),
+            preallocate=False,
         )
         self.overflow: dict[int, int] = {}
         #: None plays "worse than any real price"

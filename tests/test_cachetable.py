@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from glasstrie.bitops import TrieGeometry
 from glasstrie.cachetable import ABSENT, DONT_KNOW, PROBE_LIMIT, CacheTable
+from glasstrie.errors import ConfigError
 from glasstrie.nodepool import Pool
 
 
@@ -29,6 +32,21 @@ def colliding_keys(table: CacheTable, count: int, bucket=None, start=0):
             out.append(k)
         k += 1
     return bucket, out
+
+
+class TestSizing:
+    @pytest.mark.parametrize("buckets", [0, -4, 3, 12])
+    def test_bucket_count_must_be_positive_power_of_two(self, buckets):
+        pool, _ = make()
+        with pytest.raises(ConfigError):
+            CacheTable(pool, buckets=buckets)
+
+    def test_default_buckets_come_from_the_cap(self):
+        geo = TrieGeometry(key_bits=16, chunk_bits=4)
+        lazy = Pool(geo, width=16, max_capacity=3000, preallocate=False)
+        assert lazy.capacity == 16
+        assert CacheTable(lazy).bucket_count == 2048
+        assert CacheTable(Pool(geo, width=16, max_capacity=3000)).bucket_count == 2048
 
 
 class TestChains:

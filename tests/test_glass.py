@@ -1,11 +1,7 @@
 from __future__ import annotations
 
-import os
 import random
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -144,7 +140,7 @@ class TestOutOfRangeKeys:
             g.insert(5, None)
         assert len(g) == 0 and g.find(5) is None
 
-    def test_insert_checks_survive_optimize(self):
+    def test_insert_checks_survive_optimize(self, run_optimized):
         # asserts vanish under python -O; the checks must not
         code = (
             "from glasstrie import create\n"
@@ -161,12 +157,7 @@ class TestOutOfRangeKeys:
             "if len(g) or g.keys():\n"
             "    raise SystemExit(f'glass holds {g.keys()}')\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr + done.stdout
+        run_optimized(code)
 
 
 class TestLocateSetValue:
@@ -506,6 +497,49 @@ class TestAllocationRoute:
         assert state() == before
         assert g.find(key) is None
         g.check_integrity()
+
+
+class TestLazyPool:
+    """A pool that grows on demand hands out the same handles in the same
+    order as a preallocated one of the same cap, and its table is sized
+    from the cap, so the two glasses stay identical op for op."""
+
+    @pytest.mark.parametrize("trash_encoding", [True, False])
+    @pytest.mark.parametrize("live_limit", [300, 40], ids=["at cap", "below cap"])
+    def test_same_trie_table_and_handles_as_preallocated(self, trash_encoding, live_limit):
+        pre, lazy = (
+            create(20, 4, width=16, max_size=300, trash_encoding=trash_encoding,
+                   preallocate=preallocate)
+            for preallocate in (True, False)
+        )
+        rng = random.Random(4242)
+        live: list[int] = []
+        for _ in range(20_000):
+            if live and (len(live) >= live_limit or rng.random() < 0.45):
+                k = live.pop(rng.randrange(len(live)))
+                assert pre.erase(k) and lazy.erase(k)
+            else:
+                k = rng.randrange(1 << 20)
+                assert pre.insert(k, k) == lazy.insert(k, k)
+                if k not in live:
+                    live.append(k)
+        cap = lazy.pool.capacity
+        if live_limit == 300:
+            assert cap == lazy.pool.max_capacity == pre.pool.capacity
+        else:
+            assert 16 < cap < lazy.pool.max_capacity // 2
+        assert lazy.dump() == pre.dump()
+        assert lazy.root == pre.root
+        assert lazy.pool.live_count == pre.pool.live_count
+        assert lazy.pool.mask == pre.pool.mask[:cap]
+        assert lazy.pool.children == pre.pool.children[:cap * lazy.geo.fanout]
+        assert not any(pre.pool.mask[cap:])
+        assert lazy.table.bucket_count == pre.table.bucket_count
+        for b in range(pre.table.bucket_count):
+            assert lazy.table.chain(b) == pre.table.chain(b)
+        free = lazy.pool.free_list_slots()
+        assert free == pre.pool.free_list_slots()[:len(free)]
+        lazy.check_integrity(deep=True)
 
 
 class TestOracleEquivalence:

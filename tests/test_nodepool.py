@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glasstrie.bitops import TrieGeometry
-from glasstrie.errors import ConfigError, PoolExhausted
+from glasstrie.errors import ConfigError, InvalidArgument, PoolExhausted
 from glasstrie.nodepool import (
     CapacityModel,
     Pool,
@@ -287,6 +287,39 @@ class TestCapacityArithmetic:
         bound = capacity_bound_for_size(size, model)
         assert capacity_bound_for_size(size + 1, model) >= bound
         assert max_size_for_capacity(bound, model) >= size
+
+
+class TestSizingChecks:
+    @pytest.mark.parametrize("fn", [capacity_bound_for_size, max_size_for_capacity])
+    def test_negative_argument_rejected(self, fn):
+        with pytest.raises(InvalidArgument):
+            fn(-1, CapacityModel(PAPER_GEO, width=16))
+
+    def test_checks_survive_optimize(self, run_optimized):
+        # asserts vanish under python -O; the checks must not
+        code = (
+            "from glasstrie.bitops import TrieGeometry\n"
+            "from glasstrie.cachetable import CacheTable\n"
+            "from glasstrie.errors import ConfigError, InvalidArgument\n"
+            "from glasstrie.nodepool import (CapacityModel, Pool,\n"
+            "    capacity_bound_for_size, max_size_for_capacity)\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "geo = TrieGeometry(key_bits=16, chunk_bits=4)\n"
+            "model = CapacityModel(geo, width=16)\n"
+            "for call, error in (\n"
+            "    (lambda: capacity_bound_for_size(-1, model), InvalidArgument),\n"
+            "    (lambda: max_size_for_capacity(-1, model), InvalidArgument),\n"
+            "    (lambda: CacheTable(Pool(geo, width=16, max_capacity=64), buckets=0), ConfigError),\n"
+            "    (lambda: CacheTable(Pool(geo, width=16, max_capacity=64), buckets=6), ConfigError),\n"
+            "):\n"
+            "    try:\n"
+            "        got = call()\n"
+            "    except error:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted, returned {got!r}')\n"
+        )
+        run_optimized(code)
 
 
 class TestConfig:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from glasstrie.errors import ConfigError, InvalidArgument, NegativeAmount, PriceTooFar
+from glasstrie.glass import create
 from glasstrie.oracle import OracleBook, fuzz_orderbook, gen_book_ops
 from glasstrie.orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 
@@ -39,6 +40,44 @@ class TestInit:
         with pytest.raises(ConfigError):
             OrderBook(MIN_SIDE, max_size=4, best_window=4, key_bits=16,
                       chunk_bits=4, width=16)
+
+
+class TestLazyPool:
+    def test_default_side_starts_small_with_full_table(self):
+        glass = OrderBook(MIN_SIDE).glass
+        assert glass.pool.capacity == 16
+        assert glass.pool.max_capacity == 64057
+        assert glass.table.bucket_count == 32768
+
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_filled_past_max_size_matches_preallocated(self, side):
+        book = make(side, max_size=64, key_bits=20)
+        twin = make(side, max_size=64, key_bits=20)
+        twin.glass = create(20, 4, width=16, max_size=64)
+        rng = random.Random(97)
+        held: dict[int, int] = {}
+        for _ in range(3000):
+            if held and rng.random() < 0.3:
+                price = rng.choice(list(held))
+                delta = -held[price] if rng.random() < 0.5 else 1
+            else:
+                price, delta = rng.randrange(1 << 20), rng.randint(1, 9)
+            held[price] = held.get(price, 0) + delta
+            if not held[price]:
+                del held[price]
+            book.adjust(price, delta)
+            twin.adjust(price, delta)
+            if rng.random() < 0.05:
+                assert book.iterate_best(25) == twin.iterate_best(25)
+        pool = book.glass.pool
+        assert 16 < pool.capacity <= pool.max_capacity == twin.glass.pool.capacity
+        assert book.overflow and book.threshold is not None
+        assert book.levels() == twin.levels()
+        assert book.levels() == sorted(held.items(), reverse=side == MAX_SIDE)
+        assert book.threshold == twin.threshold
+        assert book.glass.dump() == twin.glass.dump()
+        book.check_invariants()
+        book.glass.check_integrity(deep=True)
 
 
 class TestAdjust:
