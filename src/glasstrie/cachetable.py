@@ -8,12 +8,13 @@ lookup inspects at most PROBE_LIMIT chain elements so it can answer
 ever registered; the stored key is the element key without its last
 chunk.
 
-The table is sized from the pool's cap, ``pool.max_capacity``, never
-from the nodes it holds now: the default bucket count is the largest
-power of two within the cap, and ``maybe_grow`` doubles only while the
-doubled array still fits it. A pool that grows lazily therefore gets the
-same bucket count, and the same don't-know rate, as a preallocated pool
-of the same cap.
+The table is sized once, from the pool's cap ``pool.max_capacity``,
+never from the nodes the pool holds now: the bucket count is the largest
+power of two within the cap, so the don't-know rate is the one the
+capacity model assumes however far the pool has grown. A glass never
+grows its table. ``grow`` and ``maybe_grow`` serve a table built with an
+explicit, smaller ``buckets``; ``maybe_grow`` doubles only while the
+doubled array still fits the cap.
 """
 
 from __future__ import annotations

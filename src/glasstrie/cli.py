@@ -35,7 +35,10 @@ from .errors import GlassError
 def _parse_copies(text: str) -> list[int]:
     if "-" in text:
         lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
+        copies = list(range(int(lo), int(hi) + 1))
+        if not copies:
+            raise ValueError(f"empty copies range {text!r}")
+        return copies
     return [int(text)]
 
 

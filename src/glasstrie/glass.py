@@ -129,10 +129,6 @@ class Glass:
 
     # -- helpers -------------------------------------------------------
 
-    def _refresh_table_binding(self):
-        self._heads = self.table.heads
-        self._tshift = self.table._shift
-
     def _jump(self, key: int) -> tuple[int, int]:
         """(depth, node) of the deepest cached ancestor shared with
         ``key``, or (0, root) when nothing is cached. ``key`` must lie
@@ -339,9 +335,6 @@ class Glass:
         table = self.table
         if table is not None:
             table.insert(key >> c_bits, preleaf)
-            if table.count > table.bucket_count:
-                table.maybe_grow()
-                self._refresh_table_binding()
         return True
 
     def find(self, key: int):
@@ -781,11 +774,12 @@ def create(
     cache_table: bool = True,
     edge_mode: str = EAGER,
     trash_encoding: bool = True,
-    preallocate: bool = True,
 ) -> Glass:
     """Build a glass with a freshly sized pool.
 
-    The pool is capped at the node bound for ``max_size``. Raises
+    The pool is capped at the node bound for ``max_size``; it starts at
+    16 nodes and doubles with the live nodes under that cap, while the
+    cache table is sized from the cap at once. Raises
     ``ConfigError`` when that bound exceeds what the handle width can
     address, that is when ``max_size`` is above
     ``max_size_for_capacity(model.addressable, model)`` (9211 for 50-bit
@@ -802,7 +796,6 @@ def create(
         geo,
         width=width,
         max_capacity=capacity_bound_for_size(max_size, model),
-        preallocate=preallocate,
         trash_encoding=trash_encoding,
     )
     return Glass(geo, pool, max_size, cache_table=cache_table, edge_mode=edge_mode)

@@ -9,16 +9,22 @@ its own ``BAD`` object instead), so capacity never exceeds 2**width - 2.
 Free slots form a singly-linked list threaded through the ``free_link``
 field. With trash encoding enabled that field is stored so that
 all-zero memory reads as "next slot in the array", which keeps the
-never-touched tail of a freshly (pre-)allocated pool byte-for-byte zero.
-Only ``_next_free_of`` decodes a link. Every node leaves the pool through
-one pop loop, in ``allocate_many``, which grows the arrays when the list
-runs dry. Growth is all or nothing: a request the pool cannot cover
-raises ``PoolExhausted`` before any node is taken or any array grows.
+never-touched tail of the pool, fresh or just grown, byte-for-byte zero.
+Only ``_next_free_of`` decodes a link.
+
+A pool starts at ``min(max_capacity, 16)`` nodes and doubles, up to its
+cap, whenever the free list runs dry. Every node leaves the pool through
+one pop loop, in ``allocate_many``, which does that growing. Growth is
+all or nothing: a request the pool cannot cover raises ``PoolExhausted``
+before any node is taken or any array grows. A growth step extends each
+array in place, so list identities stay stable and no transient list of
+the added size is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bitops import TrieGeometry
 from .errors import ConfigError, InvalidArgument, PoolExhausted
@@ -69,7 +75,6 @@ class Pool:
         geo: TrieGeometry,
         width: int = 32,
         max_capacity: int | None = None,
-        preallocate: bool = True,
         trash_encoding: bool = True,
         debug: bool = False,
     ):
@@ -89,23 +94,11 @@ class Pool:
         self.trash_encoding = trash_encoding
         self.debug = debug  # double-free tracking (a debug-build check)
         self.live_count = 0
-        self.capacity = max_capacity if preallocate else min(max_capacity, 16)
-        self._alloc_storage(self.capacity)
-        self.first_free = 0 if self.capacity > 0 else self.invalid
-        if not trash_encoding:
-            self._write_chain(0, self.capacity)
-        self._free_set = set(range(self.capacity)) if debug else set()
-
-    def _alloc_storage(self, capacity: int):
-        n = self.geo.fanout
-        self.mask = [0] * capacity
-        self.parent = [0] * capacity
-        self.chain_next = [0] * capacity
-        self.chain_prev = [0] * capacity
-        self.cache_key = [0] * capacity
-        self.free_link = [0] * capacity
-        self.children = [0] * (capacity * n)
-        self.values = [None] * (capacity * n)
+        self.capacity = 0
+        self.mask, self.parent, self.chain_next, self.chain_prev = [], [], [], []
+        self.cache_key, self.free_link, self.children, self.values = [], [], [], []
+        self._free_set = set()
+        self._grow(min(max_capacity, 16))
 
     def _write_chain(self, start: int, end: int):
         """Explicit free chain for the non-trash layout."""
@@ -115,20 +108,17 @@ class Pool:
         if end > start:
             link[end - 1] = self.invalid
 
-    def _grow(self):
-        """Double the arrays, up to ``max_capacity``; the caller has
-        checked that there is room. The new slots become the free list."""
-        new_cap = min(self.max_capacity, max(16, self.capacity * 2))
+    def _grow(self, new_cap: int):
+        """Extend every array in place to ``new_cap`` nodes, zeroed; the
+        caller has checked that the free list is dry and that ``new_cap``
+        is within ``max_capacity``. The new slots become the free list."""
         added = new_cap - self.capacity
         n = self.geo.fanout
-        self.mask += [0] * added
-        self.parent += [0] * added
-        self.chain_next += [0] * added
-        self.chain_prev += [0] * added
-        self.cache_key += [0] * added
-        self.free_link += [0] * added
-        self.children += [0] * (added * n)
-        self.values += [None] * (added * n)
+        for arr in (self.mask, self.parent, self.chain_next, self.chain_prev,
+                    self.cache_key, self.free_link):
+            arr.extend(repeat(0, added))
+        self.children.extend(repeat(0, added * n))
+        self.values.extend(repeat(None, added * n))
         if not self.trash_encoding:
             self._write_chain(self.capacity, new_cap)
         if self.debug:
@@ -190,7 +180,7 @@ class Pool:
                     raise PoolExhausted(
                         f"{missing} more nodes needed, pool capped at {self.max_capacity}"
                     )
-                self._grow()
+                self._grow(min(self.max_capacity, self.capacity * 2))
                 p = self.first_free
             assert mask[p] == 0, "allocated node must arrive blank"
             out.append(p)

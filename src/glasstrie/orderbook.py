@@ -10,17 +10,9 @@ threshold. Queries never range past the configured best-price window,
 so a restructure always finds room; a full glass at that point means
 the caller broke the window contract and gets an error.
 
-A book's glass grows its pool with the live levels (``create`` with
-``preallocate=False``), under the same cap, the node bound for
-``max_size``. A book side is sized for the worst case but holds far
-fewer levels: on a trending feed about a hundred of the 64,057 nodes a
-default side may use are live, so preallocating would spend tens of
-megabytes and most of the set-up time on memory no op touches. The
-bucket array is still sized from the cap (see ``cachetable``), so the
-don't-know rate is the one the capacity model assumes. A map filled
-close to its bound is better served by ``create``'s default, which
-preallocates: growing by doubling costs it transient copies of every
-array.
+The glass's pool is capped at the node bound for ``max_size`` and grows
+with the live levels (see ``nodepool``), so a side sized for the worst
+case holds memory only for the levels it has.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ class OrderBook:
             chunk_bits=chunk_bits,
             width=width,
             max_size=max_size,
-            preallocate=False,
         )
         self.overflow: dict[int, int] = {}
         #: None plays "worse than any real price"

@@ -386,6 +386,18 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("copies,")
 
+    def test_reversed_copies_range_is_bad_input(self, tmp_path, capsys):
+        from glasstrie.cli import main
+
+        out = tmp_path / "r.csv"
+        rc = main([
+            "bench", "synth", "--op", "find-e", "--copies", "3-1",
+            "--ops", "64", "--iterations", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_error_exit_code(self, capsys):
         from glasstrie.cli import main
 

@@ -43,10 +43,9 @@ class TestSizing:
 
     def test_default_buckets_come_from_the_cap(self):
         geo = TrieGeometry(key_bits=16, chunk_bits=4)
-        lazy = Pool(geo, width=16, max_capacity=3000, preallocate=False)
-        assert lazy.capacity == 16
-        assert CacheTable(lazy).bucket_count == 2048
-        assert CacheTable(Pool(geo, width=16, max_capacity=3000)).bucket_count == 2048
+        pool = Pool(geo, width=16, max_capacity=3000)
+        assert pool.capacity == 16
+        assert CacheTable(pool).bucket_count == 2048
 
 
 class TestChains:

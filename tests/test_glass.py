@@ -24,7 +24,8 @@ def small_glass(**kw) -> Glass:
 class TestCreate:
     def test_paper_scale_pool(self):
         g = create(key_bits=50, chunk_bits=5, width=16, max_size=9000)
-        assert g.pool.capacity == 64057
+        assert g.pool.max_capacity == 64057
+        assert g.pool.capacity == 16
 
     def test_zero_capacity_rejects_inserts(self):
         g = small_glass(max_size=0)
@@ -500,46 +501,52 @@ class TestAllocationRoute:
 
 
 class TestLazyPool:
-    """A pool that grows on demand hands out the same handles in the same
-    order as a preallocated one of the same cap, and its table is sized
-    from the cap, so the two glasses stay identical op for op."""
+    """A glass's pool grows with its live nodes under the cap, while its
+    table is sized from the cap once and never grows."""
 
     @pytest.mark.parametrize("trash_encoding", [True, False])
     @pytest.mark.parametrize("live_limit", [300, 40], ids=["at cap", "below cap"])
-    def test_same_trie_table_and_handles_as_preallocated(self, trash_encoding, live_limit):
-        pre, lazy = (
-            create(20, 4, width=16, max_size=300, trash_encoding=trash_encoding,
-                   preallocate=preallocate)
-            for preallocate in (True, False)
-        )
+    def test_grows_with_live_nodes_under_cap(self, trash_encoding, live_limit):
+        g = create(20, 4, width=16, max_size=300, trash_encoding=trash_encoding)
         rng = random.Random(4242)
         live: list[int] = []
         for _ in range(20_000):
             if live and (len(live) >= live_limit or rng.random() < 0.45):
                 k = live.pop(rng.randrange(len(live)))
-                assert pre.erase(k) and lazy.erase(k)
+                assert g.erase(k)
             else:
                 k = rng.randrange(1 << 20)
-                assert pre.insert(k, k) == lazy.insert(k, k)
+                assert g.insert(k, k) == (k not in live)
                 if k not in live:
                     live.append(k)
-        cap = lazy.pool.capacity
+        pool = g.pool
+        cap = pool.capacity
         if live_limit == 300:
-            assert cap == lazy.pool.max_capacity == pre.pool.capacity
+            assert cap == pool.max_capacity
         else:
-            assert 16 < cap < lazy.pool.max_capacity // 2
-        assert lazy.dump() == pre.dump()
-        assert lazy.root == pre.root
-        assert lazy.pool.live_count == pre.pool.live_count
-        assert lazy.pool.mask == pre.pool.mask[:cap]
-        assert lazy.pool.children == pre.pool.children[:cap * lazy.geo.fanout]
-        assert not any(pre.pool.mask[cap:])
-        assert lazy.table.bucket_count == pre.table.bucket_count
-        for b in range(pre.table.bucket_count):
-            assert lazy.table.chain(b) == pre.table.chain(b)
-        free = lazy.pool.free_list_slots()
-        assert free == pre.pool.free_list_slots()[:len(free)]
-        lazy.check_integrity(deep=True)
+            assert 16 < cap < pool.max_capacity // 2
+        ref = create(20, 4, width=16, max_size=300)
+        for k in sorted(live):
+            ref.insert(k, k)
+        assert g.dump() == ref.dump()
+        assert pool.live_count == ref.pool.live_count
+        assert g.table.bucket_count == ref.table.bucket_count == 512
+        assert len(pool.free_list_slots()) == cap - pool.live_count
+        g.check_integrity(deep=True)
+
+    def test_filling_to_max_size_keeps_the_table(self):
+        g = create(16, 4, width=16, max_size=1000)
+        table = g.table
+        buckets, heads = table.bucket_count, table.heads
+        rng = random.Random(31)
+        for k in rng.sample(range(1 << 16), 1000):
+            assert g.insert(k, k)
+        with pytest.raises(GlassFull):
+            g.insert(next(k for k in range(1 << 16) if g.find(k) is None), 0)
+        assert g.pool.capacity > 16
+        assert table.bucket_count == buckets
+        assert table.heads is heads and g._heads is heads
+        g.check_integrity(deep=True)
 
 
 class TestOracleEquivalence:
