@@ -340,7 +340,12 @@ def ratio_sweep(
 
     Checksums of both structures are cross-checked for every copy
     count: a benchmark that computes different answers measures nothing.
+    Every copy count is checked against ``1..MAX_COPIES`` before the
+    first run, so a bad one cannot throw a finished sweep away.
     """
+    bad = [c for c in copies_list if not 1 <= c <= MAX_COPIES]
+    if bad:
+        raise ConfigError(f"copies must be in 1..{MAX_COPIES}, got {bad}")
     rows = []
     for copies in copies_list:
         results = {

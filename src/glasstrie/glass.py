@@ -5,7 +5,8 @@ stepping, with three optional accelerators that never change observable
 results:
 
 * a cached root path to the last inserted key, so a descent can start
-  at the deepest ancestor shared with the new key instead of the root;
+  at the deepest ancestor shared with the new key instead of the root,
+  and a lookup in its pre-leaf needs neither probe nor descent;
 * a cache table mapping key-prefixes to pre-leaf handles, giving most
   lookups a single hash probe instead of a descent;
 * cached min/max iterators in eager or lazy flavors.
@@ -13,7 +14,21 @@ results:
 Keys are consumed in chunk_bits slices from the most significant end;
 nodes on the last level ("pre-leafs") hold one mask bit and one value
 slot per possible final chunk, so the conceptual leaf level is never
-materialized. An iterator is just (pre-leaf handle, full key).
+materialized. An iterator is just (pre-leaf handle, full key). The
+glass builds its iterators with ``tuple.__new__(Iterator, ...)``, which
+skips the NamedTuple's Python-level ``__new__`` (best of 21 interleaved
+rounds on a shared 2-CPU Xeon, CPython 3.11.7: 381 ns through the
+constructor, 192 ns through ``tuple.__new__``); the type and its
+constructor are unchanged for callers.
+
+``locate`` and ``erase`` resolve a key's pre-leaf through
+``_preleaf_of``: first the pre-leaf that ends a whole cached path, when
+the key differs from ``last_key`` only in its last chunk (no probe);
+then the cache table; on a don't-know, or with no table, the descent.
+On perfbench's book-feed 73% of these lookups end at the first step,
+on map-uniform under 0.1%.
+``erase_at`` removes the element at an iterator with no lookup at all;
+it and ``erase`` share one private body.
 
 Pool arrays and geometry constants are bound to instance attributes
 once. Lookups and neighbour walks are built from three private
@@ -73,6 +88,10 @@ class CompressedIterator(NamedTuple):
 
     preleaf: int
     low_bits: int
+
+
+#: builds an Iterator without the NamedTuple's Python-level ``__new__``
+_new = tuple.__new__
 
 
 class Glass:
@@ -192,7 +211,7 @@ class Glass:
         branch = (m & -m).bit_length() - 1 if forward else m.bit_length() - 1
         prefix = (key & ~((1 << (offset + c_bits)) - 1)) | (branch << offset)
         if depth == self._lastdepth:
-            return Iterator(node, prefix)
+            return _new(Iterator, (node, prefix))
         child = self._children[node * self._fanout + branch]
         if forward:
             return self._min_from(child, depth + 1, prefix)
@@ -213,7 +232,7 @@ class Glass:
             depth += 1
         m = mask[node]
         key_prefix |= (m & -m).bit_length() - 1
-        return Iterator(node, key_prefix)
+        return _new(Iterator, (node, key_prefix))
 
     def _max_from(self, node: int, depth: int, key_prefix: int) -> Iterator:
         mask = self._mask
@@ -228,7 +247,7 @@ class Glass:
             offset -= c_bits
             depth += 1
         key_prefix |= mask[node].bit_length() - 1
-        return Iterator(node, key_prefix)
+        return _new(Iterator, (node, key_prefix))
 
     # -- core operations ----------------------------------------------
 
@@ -286,10 +305,10 @@ class Glass:
                 self.size += 1
                 first = self._first
                 if first is not BAD and key < first[1]:
-                    self._first = Iterator(node, key)
+                    self._first = _new(Iterator, (node, key))
                 lastit = self._last
                 if lastit is not BAD and key > lastit[1]:
-                    self._last = Iterator(node, key)
+                    self._last = _new(Iterator, (node, key))
                 return True
 
         # the descent stopped at ``depth``; rho[0..depth] describes this key
@@ -328,10 +347,10 @@ class Glass:
         self.path_len = self._levels
         first = self._first
         if first is None or (first is not BAD and key < first[1]):
-            self._first = Iterator(preleaf, key)
+            self._first = _new(Iterator, (preleaf, key))
         lastit = self._last
         if lastit is None or (lastit is not BAD and key > lastit[1]):
-            self._last = Iterator(preleaf, key)
+            self._last = _new(Iterator, (preleaf, key))
         table = self.table
         if table is not None:
             table.insert(key >> c_bits, preleaf)
@@ -372,11 +391,16 @@ class Glass:
     def _preleaf_of(self, key: int) -> int:
         """Pre-leaf holding ``key``'s slot, or the pool's invalid handle.
 
-        A definitive cache-table answer decides at once; a don't-know
-        (or no table) falls back to the descent. No stored prefix
-        matches a key outside ``[0, 2**key_bits)``, so only the descent
-        needs the range check. Read-only.
+        A key in the pre-leaf that ends a whole cached path is answered
+        from the path; a negative or out-of-range key differs from
+        ``last_key`` above its last chunk, so the test rejects it.
+        Otherwise a definitive cache-table answer decides at once, and a
+        don't-know (or no table) falls back to the descent. No stored
+        prefix matches a key outside ``[0, 2**key_bits)``, so only the
+        descent needs the range check. Read-only.
         """
+        if self.path_len == self._levels and not (key ^ self.last_key) >> self._cbits:
+            return self.rho[self._lastdepth]
         inv = self._invalid
         heads = self._heads
         if heads is not None:
@@ -405,7 +429,7 @@ class Glass:
         """
         preleaf = self._preleaf_of(key)
         if preleaf != self._invalid and (self._mask[preleaf] >> (key & self._nmask)) & 1:
-            return Iterator(preleaf, key)
+            return _new(Iterator, (preleaf, key))
         return None
 
     def erase(self, key: int) -> bool:
@@ -415,49 +439,63 @@ class Glass:
         cached path by the removed chain's overlap with it, and fixes
         the edge cache per its mode.
         """
+        preleaf = self._preleaf_of(key)
+        if preleaf == self._invalid or not (self._mask[preleaf] >> (key & self._nmask)) & 1:
+            return False
+        self._erase_slot(preleaf, key)
+        return True
+
+    def erase_at(self, it: Iterator):
+        """Remove the element at ``it`` with no lookup; otherwise as
+        :meth:`erase`.
+
+        ``it`` must be a valid iterator: handed out by this glass for an
+        element not erased since. Nothing checks that; any other
+        iterator corrupts the glass.
+        """
+        self._erase_slot(it[0], it[1])
+
+    def _erase_slot(self, preleaf: int, key: int):
+        """Clear ``key``'s set slot in ``preleaf`` and repair the rest."""
         inv = self._invalid
         fanout = self._fanout
         mask = self._mask
-        preleaf = self._preleaf_of(key)
-        if preleaf == inv:
-            return False
         c = key & self._nmask
-        m = mask[preleaf]
-        if not (m >> c) & 1:
-            return False
-
-        m &= ~(1 << c)
+        m = mask[preleaf] & ~(1 << c)
         mask[preleaf] = m
         self._values[preleaf * fanout + c] = None
         self.size -= 1
 
-        # walk up deallocating childless nodes; each removed node is
-        # first unlinked from its parent
+        # walk up unlinking childless nodes from their parents, then free
+        # the chain in one call; the walk stops at ``parent`` (chunk at
+        # ``offset``), the deepest node left with a child
         removed = 0
         if m == 0:
-            pool = self.pool
             parent_arr = self._parent
             children = self._children
-            table = self.table
+            c_bits = self._cbits
+            n_mask = self._nmask
+            if self.table is not None:
+                self.table.remove(preleaf)
+            freed = [preleaf]
             node = preleaf
             offset = 0
             while True:
                 parent = parent_arr[node]
-                if node == preleaf and table is not None:
-                    table.remove(node)
-                pool.deallocate(node)
-                removed += 1
                 if parent == inv:
                     self.root = inv
                     break
-                offset += self._cbits
-                pc = (key >> offset) & self._nmask
+                offset += c_bits
+                pc = (key >> offset) & n_mask
                 pm = mask[parent] & ~(1 << pc)
                 mask[parent] = pm
                 children[parent * fanout + pc] = inv
                 if pm:
                     break
+                freed.append(parent)
                 node = parent
+            self.pool.deallocate_many(freed)
+            removed = len(freed)
 
         # cached-path truncation: overlap of the cached path with the
         # removed chain, bounded by the shared-prefix depth
@@ -474,27 +512,29 @@ class Glass:
         if self.size == 0:
             self._first = None
             self._last = None
-        else:
-            # an erased edge's successor lives in the same pre-leaf when
-            # any slot is left there: every other pre-leaf lies wholly
-            # beyond it. Only a freed pre-leaf needs a walk from the root.
-            first = self._first
-            if first is not BAD and first[1] == key:
-                if self.edge_mode != EAGER:
-                    self._first = BAD
-                elif m:
-                    self._first = Iterator(preleaf, key - c + ((m & -m).bit_length() - 1))
-                else:
-                    self._first = self._min_from(self.root, 0, 0)
-            lastit = self._last
-            if lastit is not BAD and lastit[1] == key:
-                if self.edge_mode != EAGER:
-                    self._last = BAD
-                elif m:
-                    self._last = Iterator(preleaf, key - c + (m.bit_length() - 1))
-                else:
-                    self._last = self._max_from(self.root, 0, 0)
-        return True
+            return
+        # an erased edge's successor lives in the same pre-leaf when any
+        # slot is left there, since every other pre-leaf lies wholly
+        # beyond it; otherwise under the node where the unlink walk
+        # stopped, since every key outside that subtree lies beyond it
+        first = self._first
+        if first is not BAD and first[1] == key:
+            if self.edge_mode != EAGER:
+                self._first = BAD
+            elif m:
+                self._first = _new(Iterator, (preleaf, key - c + ((m & -m).bit_length() - 1)))
+            else:
+                self._first = self._min_from(parent, self._lastdepth - offset // c_bits,
+                                             key & ~((1 << (offset + c_bits)) - 1))
+        lastit = self._last
+        if lastit is not BAD and lastit[1] == key:
+            if self.edge_mode != EAGER:
+                self._last = BAD
+            elif m:
+                self._last = _new(Iterator, (preleaf, key - c + (m.bit_length() - 1)))
+            else:
+                self._last = self._max_from(parent, self._lastdepth - offset // c_bits,
+                                            key & ~((1 << (offset + c_bits)) - 1))
 
     def min(self) -> Iterator | None:
         if self.size == 0:
@@ -649,7 +689,7 @@ class Glass:
         if self.table is None:
             raise ConfigError("compressed iterators require the cache table")
         prefix = self._cache_key[cit.preleaf]
-        return Iterator(cit.preleaf, (prefix << self._cbits) | cit.low_bits)
+        return _new(Iterator, (cit.preleaf, (prefix << self._cbits) | cit.low_bits))
 
     # -- introspection -------------------------------------------------
 

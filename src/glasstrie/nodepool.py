@@ -10,11 +10,19 @@ Free slots form a singly-linked list threaded through the ``free_link``
 field. With trash encoding enabled that field is stored so that
 all-zero memory reads as "next slot in the array", which keeps the
 never-touched tail of the pool, fresh or just grown, byte-for-byte zero.
-Only ``_next_free_of`` decodes a link.
+``trash_decode`` and ``trash_encode`` are the codec; the pop loop in
+``allocate_many`` and the push loop in ``deallocate_many`` write the
+same arithmetic out, because a call per node cost more than the loop
+around it: best of 30 interleaved rounds on a shared 2-CPU Xeon
+(CPython 3.11.7), popping 7 nodes took 1,008 ns written out against
+1,457 ns with a decode call per node, and freeing them in one batch
+1,070 ns against 1,925 ns for seven ``deallocate`` calls that each
+called the encoder.
 
 A pool starts at ``min(max_capacity, 16)`` nodes and doubles, up to its
 cap, whenever the free list runs dry. Every node leaves the pool through
-one pop loop, in ``allocate_many``, which does that growing. Growth is
+one pop loop, in ``allocate_many``, which does that growing, and comes
+back through one push loop, in ``deallocate_many``. Growth is
 all or nothing: a request the pool cannot cover raises ``PoolExhausted``
 before any node is taken or any array grows. A growth step extends each
 array in place, so list identities stay stable and no transient list of
@@ -126,40 +134,49 @@ class Pool:
         self.first_free = self.capacity
         self.capacity = new_cap
 
-    def _next_free_of(self, p: int) -> int:
-        if self.trash_encoding:
-            nxt = trash_decode(self.free_link[p], p)
-            return self.invalid if nxt is None else nxt
-        return self.free_link[p]
-
     def allocate(self) -> int:
         """Pop one node; see :meth:`allocate_many`."""
         return self.allocate_many(1)[0]
 
     def deallocate(self, p: int):
-        """Push ``p`` onto the free-list head; O(1), no traversal.
+        """Push ``p`` onto the free-list head; see :meth:`deallocate_many`."""
+        self.deallocate_many((p,))
 
-        Node fields are re-zeroed so the slot reads as blank memory when
-        it is allocated again.
+    def deallocate_many(self, nodes):
+        """Push ``nodes`` onto the free-list head in order, the same as
+        one :meth:`deallocate` each: the last node ends up at the head.
+        O(1) per node, no traversal.
+
+        Node fields are re-zeroed so each slot reads as blank memory
+        when it is allocated again.
         """
         if self.debug:
-            assert p not in self._free_set, f"double free of node {p}"
-            self._free_set.add(p)
-        self.mask[p] = 0
-        self.parent[p] = 0
-        self.chain_next[p] = 0
-        self.chain_prev[p] = 0
-        self.cache_key[p] = 0
+            for p in nodes:
+                assert p not in self._free_set, f"double free of node {p}"
+                self._free_set.add(p)
+        mask, parent, chain_next = self.mask, self.parent, self.chain_next
+        chain_prev, cache_key, link = self.chain_prev, self.cache_key, self.free_link
+        head = self.first_free
         if self.trash_encoding:
-            head = self.first_free
-            if head == self.invalid or head >= self.capacity:
-                self.free_link[p] = trash_encode(None, p)
-            else:
-                self.free_link[p] = trash_encode(head, p)
+            # trash_encode written out; a head at or past the capacity
+            # (the invalid handle included) means the list was dry
+            cap = self.capacity
+            for p in nodes:
+                mask[p] = parent[p] = chain_next[p] = chain_prev[p] = cache_key[p] = 0
+                if head >= cap:
+                    link[p] = 1
+                elif head == p + 1:
+                    link[p] = 0
+                else:
+                    link[p] = head + 2
+                head = p
         else:
-            self.free_link[p] = self.first_free
-        self.first_free = p
-        self.live_count -= 1
+            for p in nodes:
+                mask[p] = parent[p] = chain_next[p] = chain_prev[p] = cache_key[p] = 0
+                link[p] = head
+                head = p
+        self.first_free = head
+        self.live_count -= len(nodes)
 
     def allocate_many(self, count: int) -> list[int]:
         """Pop ``count`` nodes off the free list, growing the arrays
@@ -173,6 +190,8 @@ class Pool:
         p = self.first_free
         inv = self.invalid
         mask = self.mask
+        link = self.free_link
+        trash = self.trash_encoding
         while len(out) < count:
             if p == inv or p >= self.capacity:
                 missing = count - len(out)
@@ -184,7 +203,12 @@ class Pool:
                 p = self.first_free
             assert mask[p] == 0, "allocated node must arrive blank"
             out.append(p)
-            p = self._next_free_of(p)
+            if trash:
+                # trash_decode written out: 0 is the next slot, 1 the end
+                s = link[p]
+                p = p + 1 if s == 0 else (inv if s == 1 else s - 2)
+            else:
+                p = link[p]
         self.first_free = p
         self.live_count += count
         if self.debug:
@@ -197,7 +221,11 @@ class Pool:
         p = self.first_free
         while p != self.invalid and p < self.capacity:
             out.append(p)
-            p = self._next_free_of(p)
+            if self.trash_encoding:
+                nxt = trash_decode(self.free_link[p], p)
+                p = self.invalid if nxt is None else nxt
+            else:
+                p = self.free_link[p]
         return out
 
 

@@ -144,7 +144,15 @@ def _glass_apply(g: Glass, op: tuple):
     if kind == OP_INSERT:
         return g.insert(op[1], op[2])
     if kind == OP_ERASE:
-        return g.erase(op[1])
+        key = op[1]
+        if key & 1:
+            # odd keys erase at the iterator ``locate`` finds
+            it = g.locate(key)
+            if it is None:
+                return False
+            g.erase_at(it)
+            return True
+        return g.erase(key)
     if kind == OP_FIND:
         return g.find(op[1])
     if kind == OP_MIN:
@@ -370,6 +378,12 @@ def fuzz_run(
         got = _glass_apply(g, op)
         if got != expected:
             return Divergence(i, op, expected, got)
+        if op[0] == OP_FIND:
+            # locate must agree with find, and its iterator read back
+            it = g.locate(op[1])
+            located = None if it is None else (it.key, g.value_at(it))
+            if located != (None if expected is None else (op[1], expected)):
+                return Divergence(i, ("locate", op[1]), expected, located)
         if expected is not None and op[0] in (OP_MIN, OP_MAX):
             # the key alone would pass an edge iterator on the wrong pre-leaf
             it = g.min() if op[0] == OP_MIN else g.max()

@@ -92,34 +92,35 @@ class OrderBook:
         """Add ``delta`` to the level at ``price`` (creating or deleting
         the level as needed).
 
-        The level is looked up once and a changed amount is written in
-        place. Only a new level goes through :meth:`insert`, where
+        The level is routed once and looked up once. A glass level is
+        then changed or erased at the iterator found, with no second
+        lookup. Only a new level goes through :meth:`insert`, where
         preemption lives, and only an emptied overflow level through
         :meth:`erase`, which resets the threshold.
         """
         if delta == 0:
             raise InvalidArgument(f"zero delta for level {price}")
         glass = self.glass
-        in_glass = self._better_than_threshold(price)
-        if in_glass:
+        if self._better_than_threshold(price):
             it = glass.locate(price)
             held = 0 if it is None else glass.value_at(it)
         else:
+            it = None
             held = self.overflow.get(price, 0)
         amount = held + delta
         if amount < 0:
             raise NegativeAmount(f"level {price} would go to {amount} (corrupt feed)")
         if not held:
             self.insert(price, amount)
-        elif amount == 0:
-            if in_glass:
-                glass.erase(price)
+        elif it is not None:
+            if amount:
+                glass.set_value(it, amount)
             else:
-                self.erase(price)
-        elif in_glass:
-            glass.set_value(it, amount)
-        else:
+                glass.erase_at(it)
+        elif amount:
             self.overflow[price] = amount
+        else:
+            self.erase(price)
 
     def insert(self, price: int, amount: int):
         """Place a level not currently in the book."""
@@ -140,7 +141,7 @@ class OrderBook:
                     if worst is None or self.better(worst.key, price):
                         break
                     self.overflow[worst.key] = glass.value_at(worst)
-                    glass.erase(worst.key)
+                    glass.erase_at(worst)
         else:
             self.overflow[price] = amount
 

@@ -398,6 +398,32 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_copies_past_the_bound_fail_before_any_run(self, tmp_path, capsys, monkeypatch):
+        from glasstrie.benchkit import bench
+        from glasstrie.cli import main
+
+        runs = []
+
+        def recording_run_bench(structure, workload, copies, iterations=None):
+            runs.append(copies)
+            return bench.BenchResult(structure, workload.family, copies, 1, 1, 1, 0)
+
+        monkeypatch.setattr(bench, "run_bench", recording_run_bench)
+        out = tmp_path / "r.csv"
+        for copies in ("30-33", "33", "0", "0-2"):
+            rc = main([
+                "bench", "synth", "--op", "find-e", "--copies", copies,
+                "--ops", "64", "--iterations", "1", "--out", str(out),
+            ])
+            assert rc == 2
+            assert "1..32" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+        assert main([
+            "bench", "synth", "--op", "find-e", "--copies", "31-32",
+            "--ops", "64", "--iterations", "1", "--out", str(out),
+        ]) == 0
+        assert runs == [31, 31, 32, 32]
+
     def test_error_exit_code(self, capsys):
         from glasstrie.cli import main
 

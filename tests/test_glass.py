@@ -193,6 +193,104 @@ class TestLocateSetValue:
         g.check_integrity()
 
 
+class TestCachedPathLookup:
+    """``locate`` and ``erase`` answer a key in the pre-leaf that ends a
+    whole cached path from the path itself; every other key goes to the
+    table or the descent."""
+
+    @staticmethod
+    def located(g, key):
+        it = g.locate(key)
+        return None if it is None else (it.key, g.value_at(it))
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_lookups_match_reference(self, cache_table):
+        g = small_glass(cache_table=cache_table)
+        ref = RefMap()
+        for k in (0x1230, 0x1234, 0x1237, 0x8000, 0x1235):
+            g.insert(k, k * 10)
+            ref.insert(k, k * 10)
+        assert g.last_key == 0x1235 and g.path_len == g._levels
+        descents = []
+        descend = g._descend
+        g._descend = lambda key: descents.append(key) or descend(key)
+        # every slot of last_key's pre-leaf, set or not, and keys that
+        # share last_key's low bits but lie outside the key range
+        same_preleaf = list(range(0x1230, 0x1240))
+        outside = [-1, -0x10000 + 0x1235, (1 << 16) + 0x1235, (1 << 16) + 0x1230]
+        for k in same_preleaf + outside:
+            want = ref.find(k)
+            assert g.find(k) == want
+            assert self.located(g, k) == (None if want is None else (k, want))
+        for k in (0x1234, 0x8000):
+            assert self.located(g, k) == (k, k * 10)
+        # the pre-leaf's keys never reach the descent
+        assert not set(descents) & set(same_preleaf)
+        g.check_integrity()
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_off_after_last_keys_preleaf_is_freed(self, cache_table):
+        g = small_glass(cache_table=cache_table)
+        ref = RefMap()
+        for k in (0x8001, 0x1230, 0x1235):
+            g.insert(k, k)
+            ref.insert(k, k)
+        for k in (0x1230, 0x1235):
+            assert g.erase(k) and ref.erase(k)
+        assert g.path_len < g._levels
+        for k in (0x1230, 0x1235, 0x8001, 0x8000):
+            want = ref.find(k)
+            assert self.located(g, k) == (None if want is None else (k, want))
+            assert g.find(k) == want
+        # refill the freed pre-leaf through another cached path
+        g.insert(0x8002, 1)
+        g.insert(0x1236, 2)
+        ref.insert(0x8002, 1)
+        ref.insert(0x1236, 2)
+        assert g.keys() == ref.keys()
+        assert self.located(g, 0x1236) == (0x1236, 2)
+        g.check_integrity()
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_off_after_an_insert_stopped_above_the_preleaf(self, cache_table):
+        # a full glass refuses 0x9235 after descending only to the root:
+        # last_key moves there, but rho's pre-leaf entry still names
+        # 0x1235's pre-leaf, whose slot 5 is set
+        g = small_glass(cache_table=cache_table, max_size=2)
+        g.insert(0x1235, 1)
+        g.insert(0x1236, 2)
+        with pytest.raises(GlassFull):
+            g.insert(0x9235, 3)
+        assert g.last_key == 0x9235 and g.path_len < g._levels
+        for k in (0x9235, 0x9236, 0x9230):
+            assert g.locate(k) is None and g.find(k) is None and not g.erase(k)
+        assert self.located(g, 0x1235) == (0x1235, 1)
+        assert g.keys() == [0x1235, 0x1236]
+        g.check_integrity()
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_erase_at_matches_erase(self, cache_table):
+        rng = random.Random(8)
+        by_key = small_glass(cache_table=cache_table)
+        by_it = small_glass(cache_table=cache_table)
+        keys = rng.sample(range(1 << 16), 150) + list(range(0x4000, 0x4040))
+        for k in keys:
+            by_key.insert(k, k)
+            by_it.insert(k, k)
+        rng.shuffle(keys)
+        for k in keys:
+            assert by_key.erase(k)
+            by_it.erase_at(by_it.locate(k))
+
+            def state(g):
+                return (g.dump(), g.size, g.root, g.last_key, g.path_len,
+                        g.rho[:g.path_len], g._first, g._last, g.pool.free_list_slots())
+
+            assert state(by_it) == state(by_key)
+        assert len(by_it) == 0
+        by_it.check_integrity()
+
+
 class TestWorkedExamples:
     def test_prefix_length_of_sibling_keys(self):
         # 010 vs 011 with one-bit chunks in an 8-bit word: the shared
@@ -302,6 +400,44 @@ class TestEdgeCache:
             assert g._first is BAD and g._last is BAD
         assert (g.min(), g.max()) == (g.locate(0x30), g.locate(0x34))
         assert (g.value_at(g.min()), g.value_at(g.max())) == (0x30 * 10, 0x34 * 10)
+        g.check_integrity()
+
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_edge_repair_after_freeing_a_long_chain(self, cache_table):
+        # sparse keys: almost every edge erase frees its pre-leaf and
+        # parents above it, and the new edge comes from where the walk
+        # stopped
+        rng = random.Random(12)
+        g = small_glass(cache_table=cache_table, edge_mode=EAGER)
+        ref = RefMap()
+        for k in rng.sample(range(1 << 16), 40) + [0x0001, 0x0002, 0xFFFE]:
+            g.insert(k, k + 1)
+            ref.insert(k, k + 1)
+        starts = []  # depth each edge walk starts from
+        for name in ("_min_from", "_max_from"):
+            walk = getattr(g, name)
+            setattr(g, name, lambda node, depth, prefix, walk=walk:
+                    starts.append(depth) or walk(node, depth, prefix))
+        long_chains = 0
+        while len(ref):
+            key = ref.min() if rng.random() < 0.5 else ref.max()
+            before = g.pool.live_count
+            starts.clear()
+            if key & 1:
+                g.erase_at(g.locate(key))
+            else:
+                assert g.erase(key)
+            ref.erase(key)
+            freed = before - g.pool.live_count
+            long_chains += freed > 1
+            # a walk starts at the deepest node the erase left in place
+            assert all(depth == g._lastdepth - freed for depth in starts)
+            for it, want in ((g._first, ref.min()), (g._last, ref.max())):
+                if want is None:
+                    assert it is None
+                else:
+                    assert it == g.locate(want) and g.value_at(it) == want + 1
+        assert long_chains >= 30
         g.check_integrity()
 
     def test_empty_transition_resets(self):
@@ -441,20 +577,20 @@ class TestAllocationRoute:
         g = small_glass(max_size=64, cache_table=cache_table, trash_encoding=trash_encoding)
         pool = g.pool
         counted = 0
-        allocate_many, deallocate = pool.allocate_many, pool.deallocate
+        allocate_many, deallocate_many = pool.allocate_many, pool.deallocate_many
 
         def counting_allocate_many(count):
             nonlocal counted
             counted += count
             return allocate_many(count)
 
-        def counting_deallocate(p):
+        def counting_deallocate_many(nodes):
             nonlocal counted
-            counted -= 1
-            deallocate(p)
+            counted -= len(nodes)
+            deallocate_many(nodes)
 
         pool.allocate_many = counting_allocate_many
-        pool.deallocate = counting_deallocate
+        pool.deallocate_many = counting_deallocate_many
         rng = random.Random(31)
         live = set()
         for _ in range(5):

@@ -152,6 +152,50 @@ class TestAllocator:
         assert pool.live_count + len(sim.free) == cap
 
 
+class TestBatchFree:
+    def test_batch_frees_decode_like_simulation(self):
+        rng = random.Random(77)
+        cap = 200
+        pool = make_pool(cap=cap, trash=True)
+        sim = FreeListSim(cap)
+        live = []
+        batches = 0
+        for _ in range(3000):
+            if live and rng.random() < 0.45:
+                batch = [live.pop(rng.randrange(len(live)))
+                         for _ in range(rng.randint(1, min(6, len(live))))]
+                pool.deallocate_many(batch)
+                for p in batch:
+                    sim.deallocate(p)
+                batches += len(batch) > 1
+            else:
+                n = rng.randint(1, 6)
+                if pool.live_count + n > cap:
+                    continue
+                got = pool.allocate_many(n)
+                assert got == [sim.allocate() for _ in range(n)]
+                live.extend(got)
+            # walk the list with the codec alone; past its end lie the
+            # slots the pool has not grown into yet
+            decoded = []
+            p = pool.first_free
+            while p is not None and p < pool.capacity:
+                decoded.append(p)
+                p = trash_decode(pool.free_link[p], p)
+            assert decoded + list(range(pool.capacity, cap)) == sim.free
+        assert batches > 100 and pool.capacity == cap
+        state = (pool.first_free, pool.live_count, list(pool.free_link))
+        pool.deallocate_many(())
+        assert (pool.first_free, pool.live_count, list(pool.free_link)) == state
+
+    def test_batch_double_free_caught(self):
+        pool = make_pool(cap=8)
+        a, b = pool.allocate_many(2)
+        pool.deallocate_many([a])
+        with pytest.raises(AssertionError, match="double free"):
+            pool.deallocate_many([b, a])
+
+
 @pytest.mark.parametrize("trash", [True, False])
 class TestGrowth:
     def test_allocate_many_across_growth_matches_single_allocations(self, trash):

@@ -126,6 +126,9 @@ class _BrokenMap:
     def find(self, key):
         return None
 
+    def locate(self, key):
+        return None
+
     def min(self):
         return None
 
