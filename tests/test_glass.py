@@ -278,14 +278,14 @@ class TestCachedPathLookup:
             by_key.insert(k, k)
             by_it.insert(k, k)
         rng.shuffle(keys)
+
+        def state(g):
+            return (g.dump(), g.size, g.root, g.last_key, g.path_len,
+                    g.rho[:g.path_len], g._first, g._last, g.pool.free_list_slots())
+
         for k in keys:
             assert by_key.erase(k)
             by_it.erase_at(by_it.locate(k))
-
-            def state(g):
-                return (g.dump(), g.size, g.root, g.last_key, g.path_len,
-                        g.rho[:g.path_len], g._first, g._last, g.pool.free_list_slots())
-
             assert state(by_it) == state(by_key)
         assert len(by_it) == 0
         by_it.check_integrity()
