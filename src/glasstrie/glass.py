@@ -29,6 +29,12 @@ On perfbench's book-feed 73% of these lookups end at the first step,
 on map-uniform under 0.1%.
 ``erase_at`` removes the element at an iterator with no lookup at all;
 it and ``erase`` share one private body.
+``split_off(key, above)`` removes one whole side of a key in one cut:
+a walk up the key's path detaches every subtree beyond it, trims the
+cut pre-leaf, frees all the nodes in one ``Pool.deallocate_many`` call
+and repairs ``size``, the cached path and the edge cache once, where
+erasing the same elements one by one would repeat each of those steps
+per element. An order book's preemption is one such cut.
 
 Pool arrays and geometry constants are bound to instance attributes
 once. Lookups and neighbour walks are built from three private
@@ -535,6 +541,135 @@ class Glass:
             else:
                 self._last = self._max_from(parent, self._lastdepth - offset // c_bits,
                                             key & ~((1 << (offset + c_bits)) - 1))
+
+    def split_off(self, key: int, above: bool) -> list[tuple[int, object]]:
+        """Remove every element at or above ``key`` (``above``), or at or
+        below it, and return the removed (key, value) pairs in no set
+        order.
+
+        One walk up ``key``'s path from its deepest node: the cut
+        pre-leaf loses its slots from ``key`` on, each subtree wholly
+        beyond the path is detached and collected, and path nodes left
+        empty are unlinked. Every freed node goes back blank (child
+        slots invalid, values None) in one ``Pool.deallocate_many`` call,
+        and ``size``, the cached path and the edge cache are repaired
+        once. ``key`` may be any int: past either end of
+        ``[0, 2**key_bits)`` it cuts everything or nothing, as a
+        comparison with every stored key would.
+        """
+        if self.size == 0:
+            return []
+        # out-of-range keys answer as comparisons do: nothing lies at or
+        # above a key past the top, and a negative key cuts what 0 cuts;
+        # the mirror image for a cut below
+        if above:
+            if key >= self._key_limit:
+                return []
+            if key < 0:
+                key = 0
+        else:
+            if key < 0:
+                return []
+            if key >= self._key_limit:
+                key = self._key_limit - 1
+        inv = self._invalid
+        mask = self._mask
+        children = self._children
+        values = self._values
+        fanout = self._fanout
+        c_bits = self._cbits
+        last = self._lastdepth
+        table = self.table
+        items = []
+        freed = []
+        # (node, depth, key prefix) of each subtree removed whole
+        stack = []
+        node, depth, offset = self._descend(key)
+        parent_arr = self._parent
+        n_mask = self._nmask
+        emptied = False
+        while True:
+            c = (key >> offset) & n_mask
+            m = mask[node]
+            row = node * fanout
+            if depth == last:
+                cut = m & (-1 << c) if above else m & ((2 << c) - 1)
+                rest = cut
+                while rest:
+                    low = rest & -rest
+                    b = low.bit_length() - 1
+                    items.append((key - c + b, values[row + b]))
+                    values[row + b] = None
+                    rest ^= low
+            else:
+                cut = m & (-2 << c) if above else m & ((1 << c) - 1)
+                prefix = (key >> (offset + c_bits)) << (offset + c_bits)
+                rest = cut
+                while rest:
+                    low = rest & -rest
+                    b = low.bit_length() - 1
+                    stack.append((children[row + b], depth + 1, prefix | (b << offset)))
+                    children[row + b] = inv
+                    rest ^= low
+                if emptied:
+                    cut |= 1 << c
+                    children[row + c] = inv
+            m ^= cut
+            mask[node] = m
+            emptied = not m
+            if emptied:
+                freed.append(node)
+                if depth == last and table is not None:
+                    table.remove(node)
+            if depth == 0:
+                if emptied:
+                    self.root = inv
+                break
+            node = parent_arr[node]
+            depth -= 1
+            offset += c_bits
+        while stack:
+            node, depth, prefix = stack.pop()
+            freed.append(node)
+            m = mask[node]
+            row = node * fanout
+            if depth == last:
+                if table is not None:
+                    table.remove(node)
+                while m:
+                    low = m & -m
+                    b = low.bit_length() - 1
+                    items.append((prefix | b, values[row + b]))
+                    values[row + b] = None
+                    m ^= low
+            else:
+                offset = c_bits * (last - depth)
+                while m:
+                    low = m & -m
+                    b = low.bit_length() - 1
+                    stack.append((children[row + b], depth + 1, prefix | (b << offset)))
+                    children[row + b] = inv
+                    m ^= low
+        if not items:
+            return items
+        self.pool.deallocate_many(freed)
+        self.size -= len(items)
+        # the cached path now ends at its first freed node: a freed node's
+        # mask reads 0, a live one's never does, and every node below a
+        # freed one was freed too
+        rho = self.rho
+        path_len = 0
+        while path_len < self.path_len and mask[rho[path_len]]:
+            path_len += 1
+        self.path_len = path_len
+        if self.size == 0:
+            self._first = None
+            self._last = None
+        elif above:
+            self._last = self._max_from(self.root, 0, 0) if self.edge_mode == EAGER else BAD
+        else:
+            self._first = self._min_from(self.root, 0, 0) if self.edge_mode == EAGER else BAD
+        return items
 
     def min(self) -> Iterator | None:
         if self.size == 0:

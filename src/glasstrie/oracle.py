@@ -557,12 +557,14 @@ def fuzz_orderbook(
     """Drive a book and the oracle in lockstep; assert on any mismatch.
 
     The partition invariant is asserted every ``check_every`` ops in its
-    constant-cost form; the full walking check runs every ``deep_every``
-    ops (defaults to ``check_every``). Next-best probes may range past
-    the book's supported window: those only assert the too-far guard
-    (raises exactly when the sought rank is at or past the glass
-    capacity while the glass is saturated); the in-window ones must also
-    return the oracle's answer. Returns the count of guard trips.
+    constant-cost form; the full walking check, the partition's and the
+    glass's own (trie, cache-table count, cached path), runs every
+    ``deep_every`` ops (defaults to ``check_every``). Next-best probes
+    may range past the book's supported window: those only assert the
+    too-far guard (raises exactly when the sought rank is at or past the
+    glass capacity while the glass is saturated); the in-window ones
+    must also return the oracle's answer. Returns the count of guard
+    trips.
     """
     from .errors import PriceTooFar
 
@@ -603,6 +605,7 @@ def fuzz_orderbook(
             _fast_partition_check(book, oracle)
             if deep_every and i % deep_every == 0:
                 book.check_invariants()
+                book.glass.check_integrity(deep=False)
                 assert len(book) == len(oracle)
     assert sorted(dict(book.levels()).items()) == sorted(
         (k, oracle.ref.find(k)) for k in oracle.ref.keys()

@@ -3,12 +3,15 @@
 The glass holds only the best prices. Inserts that would overflow it
 are preempted into a plain hash map, guarded by a threshold price: a
 price goes to (and is looked up in) the glass exactly when it is
-strictly better than the threshold. When a best/next query runs off the
-end of the glass while the overflow map is nonempty, a restructure
-moves the best overflow levels back into the glass and recomputes the
-threshold. Queries never range past the configured best-price window,
-so a restructure always finds room; a full glass at that point means
-the caller broke the window contract and gets an error.
+strictly better than the threshold. A preemption sets the threshold to
+the new price and moves every glass level not strictly better than it
+out with one trie cut (``Glass.split_off``). When a best/next query
+runs off the end of the glass while the overflow map is nonempty, a
+restructure ranks the overflow map with one sort, moves the best levels
+that fit back into the glass and makes the best one left the threshold.
+Queries never range past the configured best-price window, so a
+restructure always finds room; a full glass at that point means the
+caller broke the window contract and gets an error.
 
 The glass's pool is capped at the node bound for ``max_size`` and grows
 with the live levels (see ``nodepool``), so a side sized for the worst
@@ -16,8 +19,6 @@ case holds memory only for the levels it has.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .errors import ConfigError, InvalidArgument, NegativeAmount, PriceTooFar
 from .glass import Glass, create
@@ -80,12 +81,6 @@ class OrderBook:
             return self.glass.next(price)
         return self.glass.prev(price)
 
-    def _overflow_best_n(self, n: int) -> list[tuple[int, int]]:
-        items = self.overflow.items()
-        if self.side == MIN_SIDE:
-            return heapq.nsmallest(n, items)
-        return heapq.nlargest(n, items)
-
     # -- book operations -------------------------------------------------
 
     def adjust(self, price: int, delta: int):
@@ -130,18 +125,14 @@ class OrderBook:
             else:
                 # preemption: the glass is full, so the new level goes to
                 # the overflow map and the threshold drops to its price.
-                # Any glass level no longer strictly better than the new
+                # Every glass level no longer strictly better than the new
                 # threshold must follow it out, or later lookups of those
-                # prices would be routed to the overflow map and miss.
+                # prices would be routed to the overflow map and miss. One
+                # trie cut at the price removes them all: every level at
+                # or above it on a min side, at or below it on a max side.
                 self.overflow[price] = amount
                 self.threshold = price
-                glass = self.glass
-                while True:
-                    worst = glass.max() if self.side == MIN_SIDE else glass.min()
-                    if worst is None or self.better(worst.key, price):
-                        break
-                    self.overflow[worst.key] = glass.value_at(worst)
-                    glass.erase_at(worst)
+                self.overflow.update(self.glass.split_off(price, self.side == MIN_SIDE))
         else:
             self.overflow[price] = amount
 
@@ -178,21 +169,23 @@ class OrderBook:
 
     def restructure(self):
         """Move the best overflow levels into the glass and advance the
-        threshold to the best price left behind (or clear it)."""
+        threshold to the best price left behind (or clear it).
+
+        One sort ranks the whole overflow map; the levels that fit move
+        best first, and the rank just past them is the new threshold.
+        """
         available = self.max_size - self.glass.size
         if available == 0:
             raise PriceTooFar(
                 "next-best query beyond the reachable window: glass already full"
             )
-        batch = self._overflow_best_n(min(available, len(self.overflow)))
-        for price, amount in batch:
-            self.glass.insert(price, amount)
-            del self.overflow[price]
-        if self.overflow:
-            (best_left, _), = self._overflow_best_n(1)
-            self.threshold = best_left
-        else:
-            self.threshold = None
+        overflow = self.overflow
+        ranked = sorted(overflow, reverse=self.side == MAX_SIDE)
+        insert = self.glass.insert
+        for price in ranked[:available]:
+            insert(price, overflow[price])
+            del overflow[price]
+        self.threshold = ranked[available] if available < len(ranked) else None
 
     def iterate_best(self, depth: int) -> list[tuple[int, int]]:
         """Best ``depth`` levels, best first, as (price, amount) pairs.

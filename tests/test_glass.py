@@ -10,7 +10,7 @@ from glasstrie.bitops import TrieGeometry, clz
 from glasstrie.errors import ConfigError, GlassFull, InvalidArgument
 from glasstrie.glass import BAD, EAGER, LAZY, Glass, Iterator, create
 from glasstrie.nodepool import CapacityModel, max_size_for_capacity
-from glasstrie.oracle import RefMap
+from glasstrie.oracle import RefMap, all_feature_configs
 
 
 def small_glass(**kw) -> Glass:
@@ -289,6 +289,163 @@ class TestCachedPathLookup:
             assert state(by_it) == state(by_key)
         assert len(by_it) == 0
         by_it.check_integrity()
+
+
+def ref_split(ref: RefMap, key: int, above: bool) -> list[tuple[int, int]]:
+    """What ``split_off`` must remove from ``ref``; removes it there too."""
+    cut = [k for k in ref.keys() if (k >= key if above else k <= key)]
+    out = [(k, ref.find(k)) for k in cut]
+    for k in cut:
+        ref.erase(k)
+    return out
+
+
+def assert_free_nodes_blank(g: Glass):
+    pool = g.pool
+    fanout = g.geo.fanout
+    for p in pool.free_list_slots():
+        assert pool.mask[p] == 0
+        row = slice(p * fanout, (p + 1) * fanout)
+        assert all(c in (0, pool.invalid) for c in pool.children[row])
+        assert all(v is None for v in pool.values[row])
+
+
+class TestSplitOff:
+    """``split_off`` removes one side of a key in a single trie cut and
+    answers as a comparison with every stored key would."""
+
+    LIMIT = 1 << 16
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_cut_inside_a_preleaf(self, above):
+        g = small_glass()
+        ref = RefMap()
+        for k in (0x1230, 0x1233, 0x1235, 0x1237, 0x123F, 0x0100, 0x8000):
+            g.insert(k, k * 10)
+            ref.insert(k, k * 10)
+        live = g.pool.live_count
+        got = g.split_off(0x1236, above)
+        assert sorted(got) == ref_split(ref, 0x1236, above)
+        assert g.keys() == ref.keys()
+        assert g.find(0x1235) == ref.find(0x1235)
+        # the cut pre-leaf keeps slots on the other side, so it stays
+        assert g.locate(0x1233 if above else 0x1237) is not None
+        # one whole subtree of 3 nodes beyond the path goes: 0x8000's or 0x0100's
+        assert g.pool.live_count == live - 3
+        g.check_integrity(deep=True)
+        assert_free_nodes_blank(g)
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_cut_at_last_key_keeps_the_path_to_its_preleaf(self, above):
+        g = small_glass()
+        for k in (0x1230, 0x1235, 0x123A):
+            g.insert(k, k)
+        g.insert(0x1235, 0)  # present: only repoints the cached path
+        assert g.last_key == 0x1235 and g.path_len == g._levels
+        got = g.split_off(0x1235, above)
+        assert sorted(got) == ([(0x1235, 0x1235), (0x123A, 0x123A)] if above
+                               else [(0x1230, 0x1230), (0x1235, 0x1235)])
+        assert g.path_len == g._levels
+        assert g.locate(0x1235) is None
+        assert g.find(0x123A if not above else 0x1230) is not None
+        g.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("edge_mode", [EAGER, LAZY])
+    @pytest.mark.parametrize("cache_table", [True, False])
+    def test_cut_that_empties_the_glass(self, edge_mode, cache_table):
+        g = small_glass(edge_mode=edge_mode, cache_table=cache_table)
+        keys = [0x0001, 0x1230, 0x1235, 0x8000, 0xFFFF]
+        for k in keys:
+            g.insert(k, k)
+        got = g.split_off(0x0001, True)
+        assert sorted(got) == [(k, k) for k in keys]
+        assert g.root == g.pool.invalid and g.path_len == 0 and len(g) == 0
+        assert g._first is None and g._last is None
+        assert g.min() is None and g.max() is None
+        assert g.pool.live_count == 0
+        assert g.table is None or g.table.count == 0
+        g.check_integrity(deep=True)
+        assert_free_nodes_blank(g)
+        assert g.split_off(0x1000, True) == []
+        # reused nodes must arrive blank
+        for k in (0x1231, 0x8001):
+            g.insert(k, -k)
+        assert g.keys() == [0x1231, 0x8001]
+        assert (g.min().key, g.max().key) == (0x1231, 0x8001)
+        g.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("above", [True, False])
+    @pytest.mark.parametrize("key", [-(1 << 70), -(1 << 16), -1, 0, 1,
+                                     (1 << 16) - 2, (1 << 16) - 1, 1 << 16,
+                                     (1 << 16) + 0x1235, 1 << 70])
+    def test_any_int_key_answers_as_a_comparison(self, above, key):
+        keys = [0, 1, 0x1235, 0xFFFE, 0xFFFF]
+        g = small_glass()
+        ref = RefMap()
+        for k in keys:
+            g.insert(k, k + 1)
+            ref.insert(k, k + 1)
+        got = g.split_off(key, above)
+        assert sorted(got) == ref_split(ref, key, above)
+        if not 0 <= key < self.LIMIT:
+            # out of range, a cut takes everything or nothing
+            assert len(got) in (0, len(keys))
+        assert g.keys() == ref.keys()
+        g.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    def test_matches_reference_over_feature_cube(self, cfg):
+        rng = random.Random(f"split-{cfg.label}")
+        g = cfg.build(max_size=400)
+        ref = RefMap()
+        limit = self.LIMIT
+        splits = 0
+
+        def check():
+            assert g.keys() == ref.keys()
+            lo, hi = g.min(), g.max()
+            assert (lo and lo.key, hi and hi.key) == (ref.min(), ref.max())
+            g.check_integrity(deep=True)
+
+        for _ in range(700):
+            r = rng.random()
+            if r < 0.55 and len(ref) < 400:
+                # clustered keys fill pre-leafs; spread ones grow subtrees
+                base = rng.choice((0x1200, 0x7F00, 0xC000))
+                k = base + rng.randrange(0x300) if rng.random() < 0.7 else rng.randrange(limit)
+                assert g.insert(k, k ^ 0x3C3C) == ref.insert(k, k ^ 0x3C3C)
+            elif r < 0.65 and len(ref):
+                k = rng.choice(ref.keys())
+                assert g.erase(k) and ref.erase(k)
+            else:
+                keys = ref.keys()
+                choice = rng.randrange(7)
+                if choice == 0 or not keys:
+                    key = rng.randrange(limit)
+                elif choice == 1:
+                    key = rng.choice(keys)  # a stored key
+                elif choice == 2:
+                    key = rng.choice(keys) + rng.choice((-1, 1))  # beside one
+                elif choice == 3:
+                    key = g.last_key
+                elif choice == 4:
+                    key = rng.choice((keys[0] - 1, keys[-1] + 1, keys[0], keys[-1]))
+                elif choice == 5:
+                    key = rng.choice((-1, -limit, limit, limit + 7, limit - 1, 0))
+                else:
+                    # a cut close to one end removes only a few keys
+                    i = rng.randrange(min(4, len(keys)))
+                    key = keys[i] if rng.random() < 0.5 else keys[-1 - i]
+                above = rng.random() < 0.5
+                got = g.split_off(key, above)
+                assert sorted(got) == ref_split(ref, key, above)
+                assert len(g) == len(ref)
+                splits += 1
+                for k, _ in got[:3]:
+                    assert g.find(k) is None and g.locate(k) is None
+            check()
+        assert_free_nodes_blank(g)
+        assert splits > 150
 
 
 class TestWorkedExamples:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -10,10 +11,10 @@ from glasstrie.oracle import OracleBook, fuzz_orderbook, gen_book_ops
 from glasstrie.orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 
 
-def make(side=MIN_SIDE, max_size=4, window=None, key_bits=16):
+def make(side=MIN_SIDE, max_size=4, window=None, key_bits=16, cls=OrderBook):
     window = window or min(25, max_size - 1)
-    return OrderBook(side, max_size=max_size, best_window=window,
-                     key_bits=key_bits, chunk_bits=4, width=16)
+    return cls(side, max_size=max_size, best_window=window,
+               key_bits=key_bits, chunk_bits=4, width=16)
 
 
 class TestInit:
@@ -237,6 +238,90 @@ class TestRestructure:
         book.restructure()
         assert sorted(book.glass.keys()) == [100, 101, 102]
         assert book.threshold is None and not book.overflow
+
+
+class PerLevelBook(OrderBook):
+    """The spill path before the bulk cut: preemption evicts the worst
+    glass level one at a time, and restructure ranks the overflow with
+    ``heapq``. The partition it keeps is the reference for the real one.
+    """
+
+    def insert(self, price, amount):
+        if not (self._better_than_threshold(price) and self.glass.size >= self.max_size):
+            return super().insert(price, amount)
+        self.overflow[price] = amount
+        self.threshold = price
+        glass = self.glass
+        while True:
+            worst = glass.max() if self.side == MIN_SIDE else glass.min()
+            if worst is None or self.better(worst.key, price):
+                break
+            self.overflow[worst.key] = glass.value_at(worst)
+            glass.erase_at(worst)
+
+    def restructure(self):
+        available = self.max_size - self.glass.size
+        if available == 0:
+            raise PriceTooFar("glass already full")
+        pick = heapq.nsmallest if self.side == MIN_SIDE else heapq.nlargest
+        for price, amount in pick(min(available, len(self.overflow)), self.overflow.items()):
+            self.glass.insert(price, amount)
+            del self.overflow[price]
+        self.threshold = pick(1, self.overflow)[0] if self.overflow else None
+
+
+def run_op(book, op):
+    """Apply one ``gen_book_ops`` op; the answer, or the error type."""
+    try:
+        if op[0] == "A":
+            return book.adjust(op[1], op[2])
+        if op[0] == "B":
+            return book.best()
+        if op[0] == "T":
+            return book.iterate_best(min(op[1], book.best_window))
+        return book.next_best_after(op[1])
+    except PriceTooFar as e:
+        return type(e)
+
+
+def assert_same_partition(book, ref):
+    assert book.glass.keys() == ref.glass.keys()
+    assert book.overflow == ref.overflow
+    assert book.threshold == ref.threshold
+
+
+class TestPartitionEquivalence:
+    """The bulk spill path puts every level where the per-level one did."""
+
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    @pytest.mark.parametrize("max_size", [4, 64])
+    def test_lockstep_with_per_level_book(self, side, max_size):
+        book = make(side, max_size=max_size, key_bits=20)
+        ref = make(side, max_size=max_size, key_bits=20, cls=PerLevelBook)
+        preemptions = 0
+        for op in gen_book_ops(seed=4100 + max_size, length=6000,
+                               max_depth=book.best_window):
+            if op[0] == "A" and book.glass.size == max_size and book.find(op[1]) is None:
+                preemptions += book._better_than_threshold(op[1])
+            assert run_op(book, op) == run_op(ref, op)
+            assert_same_partition(book, ref)
+        assert preemptions > 10
+        book.glass.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    @pytest.mark.parametrize("price", [-5, -(1 << 40), 1 << 16, (1 << 16) + 0x123])
+    def test_out_of_range_price_at_a_full_glass(self, side, price):
+        # a full glass sends an unvalidated price through preemption
+        book, ref = make(side), make(side, cls=PerLevelBook)
+        for b in (book, ref):
+            for p in (0x1230, 0x1235, 0x4000, 0xFFFF):
+                b.adjust(p, 7)
+            b.adjust(price, 3)
+        assert_same_partition(book, ref)
+        assert book.find(price) == 3
+        assert book.levels() == ref.levels()
+        book.check_invariants()
+        book.glass.check_integrity(deep=True)
 
 
 class TestQueries:
