@@ -2,7 +2,8 @@
 
 The core structure (:class:`~glasstrie.glass.Glass`) is an ordered map
 over fixed-width integer keys with a cached root path, an intrusive
-bounded-probe cache table, and cached edge iterators. On top of it,
+bounded-probe cache table, min/max iterators kept current by every
+update, and a trash-encoded node pool. On top of it,
 :class:`~glasstrie.orderbook.OrderBook` keeps one book side within a
 fixed memory budget via preemption and restructuring. The ``benchkit``
 subpackage measures all of it against red-black-tree baselines.
@@ -20,7 +21,7 @@ from .errors import (
     PoolExhausted,
     PriceTooFar,
 )
-from .glass import EAGER, LAZY, CompressedIterator, Glass, Iterator, create
+from .glass import CompressedIterator, Glass, Iterator, create
 from .nodepool import CapacityModel, Pool, capacity_bound_for_size, max_size_for_capacity
 from .orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 
@@ -32,13 +33,11 @@ __all__ = [
     "CompressedIterator",
     "ConfigError",
     "DivisionPlan",
-    "EAGER",
     "Glass",
     "GlassError",
     "GlassFull",
     "InvalidArgument",
     "Iterator",
-    "LAZY",
     "MalformedEvent",
     "MAX_SIDE",
     "MIN_SIDE",

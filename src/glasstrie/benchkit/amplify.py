@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..errors import AmplifyModifying
+from ..errors import AmplifyModifying, InvalidArgument
 from .events import ITER, READ_ONLY_OPS, MarketEvent
 
 
@@ -20,7 +20,8 @@ def amplify(
     factor: int,
     target_op: str = ITER,
 ) -> list[MarketEvent]:
-    assert factor >= 1
+    if factor < 1:
+        raise InvalidArgument(f"amplification factor must be at least 1, got {factor}")
     if target_op not in READ_ONLY_OPS:
         raise AmplifyModifying(
             f"op {target_op!r} modifies the book and cannot be amplified"

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from ..errors import InvalidArgument
+
 
 def _log_pmf(k: int, n: int, log_p: float, log_q: float, log_nfact: float) -> float:
     return (
@@ -43,6 +45,14 @@ def _pmf_table(n: int, buckets: int) -> list[float]:
     return [math.exp(_log_pmf(k, n, log_p, log_q, log_nfact)) for k in range(n + 1)]
 
 
+def _check_model(n: int, buckets: int, probe_limit: int):
+    if n < 1 or buckets < 1 or probe_limit < 0:
+        raise InvalidArgument(
+            f"need n >= 1, buckets >= 1 and probe limit >= 0, "
+            f"got {n}, {buckets} and {probe_limit}"
+        )
+
+
 def dunno_prob_present(n: int, buckets: int, probe_limit: int) -> float:
     """P(don't know | key present).
 
@@ -50,7 +60,7 @@ def dunno_prob_present(n: int, buckets: int, probe_limit: int) -> float:
     chain of length k > probe_limit hides it with probability
     1 - probe_limit/k; conditioning is on the nonempty-bucket event.
     """
-    assert n >= 1 and buckets >= 1 and probe_limit >= 0
+    _check_model(n, buckets, probe_limit)
     if probe_limit >= n:
         return 0.0
     pmf = _pmf_table(n, buckets)
@@ -64,7 +74,7 @@ def dunno_prob_present(n: int, buckets: int, probe_limit: int) -> float:
 def dunno_prob_absent(n: int, buckets: int, probe_limit: int) -> float:
     """P(don't know | key absent): the probed bucket's chain is longer
     than the probe limit."""
-    assert n >= 1 and buckets >= 1 and probe_limit >= 0
+    _check_model(n, buckets, probe_limit)
     if probe_limit >= n:
         return 0.0
     pmf = _pmf_table(n, buckets)

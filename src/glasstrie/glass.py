@@ -9,7 +9,7 @@ results:
   and a lookup in its pre-leaf needs neither probe nor descent;
 * a cache table mapping key-prefixes to pre-leaf handles, giving most
   lookups a single hash probe instead of a descent;
-* cached min/max iterators in eager or lazy flavors.
+* cached min/max iterators, kept current by every insert and erase.
 
 Keys are consumed in chunk_bits slices from the most significant end;
 nodes on the last level ("pre-leafs") hold one mask bit and one value
@@ -74,12 +74,6 @@ from .cachetable import PROBE_LIMIT, CacheTable, _HASH_MULT, _MASK64
 from .errors import ConfigError, GlassFull, InvalidArgument
 from .nodepool import CapacityModel, Pool, capacity_bound_for_size, max_size_for_capacity
 
-EAGER = "eager"
-LAZY = "lazy"
-
-#: lazy edge-cache marker: the cached iterator was spoiled by an erase
-BAD = object()
-
 
 class Iterator(NamedTuple):
     """Position of one stored element: its pre-leaf and its full key."""
@@ -114,23 +108,20 @@ class Glass:
         pool: Pool,
         max_size: int,
         cache_table: bool = True,
-        edge_mode: str = EAGER,
     ):
-        if edge_mode not in (EAGER, LAZY):
-            raise ConfigError(f"edge mode must be eager or lazy, got {edge_mode!r}")
         self.geo = geo
         self.pool = pool
         self.max_size = max_size
         self.size = 0
         self.root = pool.invalid
-        self.edge_mode = edge_mode
         self.table = CacheTable(pool) if cache_table else None
         # cached path: rho[i] is the depth-i ancestor of last_key for
         # i < path_len; entries beyond that are stale, not cleared
         self.last_key = 0
         self.rho = [0] * geo.levels
         self.path_len = 0
-        # edge cache: Iterator, None for "empty", or BAD (lazy only)
+        # edge cache: Iterator of the least and greatest key, None
+        # exactly when the glass is empty
         self._first = None
         self._last = None
         # flat bindings for the hot paths (list identities are stable:
@@ -309,11 +300,9 @@ class Glass:
                 mask[node] |= 1 << c
                 self._values[node * fanout + c] = value
                 self.size += 1
-                first = self._first
-                if first is not BAD and key < first[1]:
+                if key < self._first[1]:
                     self._first = _new(Iterator, (node, key))
-                lastit = self._last
-                if lastit is not BAD and key > lastit[1]:
+                elif key > self._last[1]:
                     self._last = _new(Iterator, (node, key))
                 return True
 
@@ -352,10 +341,10 @@ class Glass:
         self.size += 1
         self.path_len = self._levels
         first = self._first
-        if first is None or (first is not BAD and key < first[1]):
+        if first is None or key < first[1]:
             self._first = _new(Iterator, (preleaf, key))
         lastit = self._last
-        if lastit is None or (lastit is not BAD and key > lastit[1]):
+        if lastit is None or key > lastit[1]:
             self._last = _new(Iterator, (preleaf, key))
         table = self.table
         if table is not None:
@@ -443,7 +432,7 @@ class Glass:
 
         Deallocates the chain of nodes left childless, truncates the
         cached path by the removed chain's overlap with it, and fixes
-        the edge cache per its mode.
+        the edge cache.
         """
         preleaf = self._preleaf_of(key)
         if preleaf == self._invalid or not (self._mask[preleaf] >> (key & self._nmask)) & 1:
@@ -523,20 +512,14 @@ class Glass:
         # slot is left there, since every other pre-leaf lies wholly
         # beyond it; otherwise under the node where the unlink walk
         # stopped, since every key outside that subtree lies beyond it
-        first = self._first
-        if first is not BAD and first[1] == key:
-            if self.edge_mode != EAGER:
-                self._first = BAD
-            elif m:
+        if self._first[1] == key:
+            if m:
                 self._first = _new(Iterator, (preleaf, key - c + ((m & -m).bit_length() - 1)))
             else:
                 self._first = self._min_from(parent, self._lastdepth - offset // c_bits,
                                              key & ~((1 << (offset + c_bits)) - 1))
-        lastit = self._last
-        if lastit is not BAD and lastit[1] == key:
-            if self.edge_mode != EAGER:
-                self._last = BAD
-            elif m:
+        elif self._last[1] == key:
+            if m:
                 self._last = _new(Iterator, (preleaf, key - c + (m.bit_length() - 1)))
             else:
                 self._last = self._max_from(parent, self._lastdepth - offset // c_bits,
@@ -666,23 +649,15 @@ class Glass:
             self._first = None
             self._last = None
         elif above:
-            self._last = self._max_from(self.root, 0, 0) if self.edge_mode == EAGER else BAD
+            self._last = self._max_from(self.root, 0, 0)
         else:
-            self._first = self._min_from(self.root, 0, 0) if self.edge_mode == EAGER else BAD
+            self._first = self._min_from(self.root, 0, 0)
         return items
 
     def min(self) -> Iterator | None:
-        if self.size == 0:
-            return None
-        if self._first is BAD:
-            self._first = self._min_from(self.root, 0, 0)
         return self._first
 
     def max(self) -> Iterator | None:
-        if self.size == 0:
-            return None
-        if self._last is BAD:
-            self._last = self._max_from(self.root, 0, 0)
         return self._last
 
     def _neighbor(self, key: int, forward: bool) -> Iterator | None:
@@ -691,9 +666,9 @@ class Glass:
         if self.root == self._invalid:
             return None
         if key < 0:
-            return self.min() if forward else None
+            return self._first if forward else None
         if key >= self._key_limit:
-            return None if forward else self.max()
+            return None if forward else self._last
         node, depth, offset = self._descend(key)
         return self._climb(node, depth, offset, key, forward)
 
@@ -738,7 +713,7 @@ class Glass:
         """
         if count <= 0 or self.size == 0:
             return []
-        start = self.max() if descending else self.min()
+        start = self._last if descending else self._first
         node, key = start
         mask = self._mask
         children = self._children
@@ -947,8 +922,6 @@ def create(
     width: int = 32,
     max_size: int = 0,
     cache_table: bool = True,
-    edge_mode: str = EAGER,
-    trash_encoding: bool = True,
 ) -> Glass:
     """Build a glass with a freshly sized pool.
 
@@ -967,10 +940,5 @@ def create(
         raise ConfigError(
             f"max_size {max_size} cannot fit {width}-bit handles (at most {limit})"
         )
-    pool = Pool(
-        geo,
-        width=width,
-        max_capacity=capacity_bound_for_size(max_size, model),
-        trash_encoding=trash_encoding,
-    )
-    return Glass(geo, pool, max_size, cache_table=cache_table, edge_mode=edge_mode)
+    pool = Pool(geo, width=width, max_capacity=capacity_bound_for_size(max_size, model))
+    return Glass(geo, pool, max_size, cache_table=cache_table)

@@ -2,22 +2,23 @@
 
 Nodes live in parallel arrays indexed by integer handles rather than
 machine pointers; a handle fits 16 or 32 bits. The top two values of the
-range stay reserved, as in the paper's layout (INVALID for "end / not
-found", and one for spoiled cached iterators, which the glass marks with
-its own ``BAD`` object instead), so capacity never exceeds 2**width - 2.
+range stay reserved, as in the paper's layout: INVALID for "end / not
+found", and one the paper gives to spoiled cached iterators. The glass
+keeps its edge iterators current and never spoils one, but the second
+value stays reserved all the same, because the capacity arithmetic
+(acceptance criteria 1 and 2) is pinned to 2**width - 2 nodes.
 
 Free slots form a singly-linked list threaded through the ``free_link``
-field. With trash encoding enabled that field is stored so that
-all-zero memory reads as "next slot in the array", which keeps the
-never-touched tail of the pool, fresh or just grown, byte-for-byte zero.
-``trash_decode`` and ``trash_encode`` are the codec; the pop loop in
-``allocate_many`` and the push loop in ``deallocate_many`` write the
-same arithmetic out, because a call per node cost more than the loop
-around it: best of 30 interleaved rounds on a shared 2-CPU Xeon
-(CPython 3.11.7), popping 7 nodes took 1,199 ns written out against
-1,565 ns with a decode call per node, and freeing them in one batch
-1,201 ns against 2,146 ns for seven ``deallocate`` calls that each
-called the encoder.
+field, trash-encoded: the field is stored so that all-zero memory reads
+as "next slot in the array", which keeps the never-touched tail of the
+pool, fresh or just grown, byte-for-byte zero. ``trash_decode`` and
+``trash_encode`` are the codec; the pop loop in ``allocate_many`` and
+the push loop in ``deallocate_many`` write the same arithmetic out,
+because a call per node cost more than the loop around it: best of 30
+interleaved rounds on a shared 2-CPU Xeon (CPython 3.11.7), popping 7
+nodes took 1,199 ns written out against 1,565 ns with a decode call per
+node, and freeing them in one batch 1,201 ns against 2,146 ns for seven
+``deallocate`` calls that each called the encoder.
 
 A pool starts at ``min(max_capacity, 16)`` nodes and doubles, up to its
 cap, whenever the free list runs dry. Every node leaves the pool through
@@ -83,7 +84,6 @@ class Pool:
         geo: TrieGeometry,
         width: int = 32,
         max_capacity: int | None = None,
-        trash_encoding: bool = True,
         debug: bool = False,
     ):
         if width not in NODE_BYTES:
@@ -99,7 +99,6 @@ class Pool:
         self.width = width
         self.invalid = invalid_handle(width)
         self.max_capacity = max_capacity
-        self.trash_encoding = trash_encoding
         self.debug = debug  # double-free tracking (a debug-build check)
         self.live_count = 0
         self.capacity = 0
@@ -108,18 +107,11 @@ class Pool:
         self._free_set = set()
         self._grow(min(max_capacity, 16))
 
-    def _write_chain(self, start: int, end: int):
-        """Explicit free chain for the non-trash layout."""
-        link = self.free_link
-        for j in range(start, end - 1):
-            link[j] = j + 1
-        if end > start:
-            link[end - 1] = self.invalid
-
     def _grow(self, new_cap: int):
         """Extend every array in place to ``new_cap`` nodes, zeroed; the
         caller has checked that the free list is dry and that ``new_cap``
-        is within ``max_capacity``. The new slots become the free list."""
+        is within ``max_capacity``. The new slots already read as a
+        trash-encoded free list in array order."""
         added = new_cap - self.capacity
         n = self.geo.fanout
         for arr in (self.mask, self.parent, self.chain_next, self.chain_prev,
@@ -127,8 +119,6 @@ class Pool:
             arr.extend(repeat(0, added))
         self.children.extend(repeat(0, added * n))
         self.values.extend(repeat(None, added * n))
-        if not self.trash_encoding:
-            self._write_chain(self.capacity, new_cap)
         if self.debug:
             self._free_set.update(range(self.capacity, new_cap))
         self.first_free = self.capacity
@@ -157,15 +147,12 @@ class Pool:
         mask, parent, chain_next = self.mask, self.parent, self.chain_next
         chain_prev, cache_key, link = self.chain_prev, self.cache_key, self.free_link
         head = self.first_free
-        trash = self.trash_encoding
         cap = self.capacity
         for p in nodes:
             mask[p] = parent[p] = chain_next[p] = chain_prev[p] = cache_key[p] = 0
-            if not trash:
-                link[p] = head
             # trash_encode written out; a head at or past the capacity
             # (the invalid handle included) means the list was dry
-            elif head >= cap:
+            if head >= cap:
                 link[p] = 1
             elif head == p + 1:
                 link[p] = 0
@@ -188,7 +175,6 @@ class Pool:
         inv = self.invalid
         mask = self.mask
         link = self.free_link
-        trash = self.trash_encoding
         while len(out) < count:
             if p == inv or p >= self.capacity:
                 missing = count - len(out)
@@ -200,12 +186,9 @@ class Pool:
                 p = self.first_free
             assert mask[p] == 0, "allocated node must arrive blank"
             out.append(p)
-            if trash:
-                # trash_decode written out: 0 is the next slot, 1 the end
-                s = link[p]
-                p = p + 1 if s == 0 else (inv if s == 1 else s - 2)
-            else:
-                p = link[p]
+            # trash_decode written out: 0 is the next slot, 1 the end
+            s = link[p]
+            p = p + 1 if s == 0 else (inv if s == 1 else s - 2)
         self.first_free = p
         self.live_count += count
         if self.debug:
@@ -218,11 +201,8 @@ class Pool:
         p = self.first_free
         while p != self.invalid and p < self.capacity:
             out.append(p)
-            if self.trash_encoding:
-                nxt = trash_decode(self.free_link[p], p)
-                p = self.invalid if nxt is None else nxt
-            else:
-                p = self.free_link[p]
+            nxt = trash_decode(self.free_link[p], p)
+            p = self.invalid if nxt is None else nxt
         return out
 
 

@@ -13,6 +13,13 @@ Queries never range past the configured best-price window, so a
 restructure always finds room; a full glass at that point means the
 caller broke the window contract and gets an error.
 
+A price outside ``[0, 2**key_bits)`` is refused by ``insert``, the one
+door every new level passes, with the book unchanged. Without that check,
+whether such a price was accepted would depend on how full the glass
+is: below ``max_size`` the glass refuses it, while a full glass would
+preempt it into the overflow map, where it would become the threshold
+and every later restructure would fail to move it back.
+
 The glass's pool is capped at the node bound for ``max_size`` and grows
 with the live levels (see ``nodepool``), so a side sized for the worst
 case holds memory only for the levels it has.
@@ -54,6 +61,7 @@ class OrderBook:
         self.side = side
         self.max_size = max_size
         self.best_window = best_window
+        self._price_limit = 1 << key_bits
         self.glass: Glass = create(
             key_bits=key_bits,
             chunk_bits=chunk_bits,
@@ -91,7 +99,10 @@ class OrderBook:
         then changed or erased at the iterator found, with no second
         lookup. Only a new level goes through :meth:`insert`, where
         preemption lives, and only an emptied overflow level through
-        :meth:`erase`, which resets the threshold.
+        :meth:`erase`, which resets the threshold. A price outside
+        ``[0, 2**key_bits)`` is never held, so it reaches :meth:`insert`,
+        which refuses it (a negative delta raises NegativeAmount first);
+        the level updates that make up most of a feed pay no range check.
         """
         if delta == 0:
             raise InvalidArgument(f"zero delta for level {price}")
@@ -118,7 +129,10 @@ class OrderBook:
             self.erase(price)
 
     def insert(self, price: int, amount: int):
-        """Place a level not currently in the book."""
+        """Place a level not currently in the book; a price outside
+        ``[0, 2**key_bits)`` raises InvalidArgument."""
+        if not 0 <= price < self._price_limit:
+            raise InvalidArgument(f"price {price} is outside [0, {self._price_limit})")
         if self._better_than_threshold(price):
             if self.glass.size < self.max_size:
                 self.glass.insert(price, amount)

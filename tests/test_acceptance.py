@@ -41,9 +41,9 @@ from glasstrie.benchkit.bench import (
     RBT,
     REPLAY_FAMILIES,
     SYNTH_FAMILIES,
-    best_of,
     ratio_sweep,
     replay_workload,
+    run_bench,
     synth_workload,
     write_ratio_csv,
 )
@@ -195,7 +195,7 @@ def test_05_bitops_exhaustive():
 def test_06_glass_differential_fuzz():
     with Timer() as t:
         configs = all_feature_configs(key_bits=16, chunk_bits=4, width=32)
-        assert len(configs) == 8
+        assert len(configs) == 2
         for config in configs:
             local = gen_trace(101, LOCAL, 600_000, key_bits=16, size_cap=1024)
             div = fuzz_run(config, local)
@@ -218,7 +218,7 @@ def test_06_glass_differential_fuzz():
         g.check_integrity(deep=True)
     ok = t.elapsed < 600.0
     _report(6, "glass differential fuzz", ok,
-            f"8 configs x 1.05M ops + instrumented 100k, {t.elapsed:.1f}s")
+            f"{len(configs)} configs x 1.05M ops + instrumented 100k, {t.elapsed:.1f}s")
     assert t.elapsed < 600.0
 
 
@@ -296,10 +296,14 @@ def test_09_performance(tmp_path):
     with Timer() as t:
         # the hard gate: local find-existing at one copy must beat the
         # baseline ordered map; best-of-reps timing rides out scheduler
-        # noise on a shared machine
+        # noise on a shared machine, and the two sides' reps interleave,
+        # alternating which goes first, so a load spike hits both alike
         find_e = synth_workload("find-e", seed=17, count=2048)
-        glass_r = best_of(GLASS, find_e, copies=1, iterations=20, reps=5)
-        rbt_r = best_of(RBT, find_e, copies=1, iterations=20, reps=5)
+        runs = {GLASS: [], RBT: []}
+        for rep in range(5):
+            for structure in (GLASS, RBT) if rep % 2 == 0 else (RBT, GLASS):
+                runs[structure].append(run_bench(structure, find_e, copies=1, iterations=20))
+        glass_r, rbt_r = (min(runs[s], key=lambda r: r.ns_per_op) for s in (GLASS, RBT))
         assert glass_r.checksum == rbt_r.checksum
         ratio = rbt_r.ns_per_op / glass_r.ns_per_op
         # the paper-shaped dataset: ratio-vs-copies for all six families

@@ -424,6 +424,36 @@ class TestCli:
         ]) == 0
         assert runs == [31, 31, 32, 32]
 
+    def test_bad_model_and_factor_arguments_exit_2(self, tmp_path, capsys):
+        from glasstrie.cli import main
+
+        src = tmp_path / "ev.txt"
+        write_events(market_events(seed=2, count=50, key_bits=24), src)
+        for argv in (
+            ["dunno", "--n", "0", "--b", "32768", "--jmax", "2"],
+            ["dunno", "--n", "10", "--b", "0", "--jmax", "2"],
+            ["bench", "replay", "--file", str(src), "--copies", "1",
+             "--iterations", "1", "--amplify-iter", "0"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and not captured.out
+
+    def test_bad_model_argument_exits_2_under_optimize(self, run_optimized):
+        # asserts vanish under python -O; the check must not
+        code = (
+            "import contextlib, io\n"
+            "from glasstrie.cli import main\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "    rc = main(['dunno', '--n', '0', '--b', '32768', '--jmax', '2'])\n"
+            "if rc != 2 or out.getvalue() or not err.getvalue().startswith('error:'):\n"
+            "    raise SystemExit(f'exit {rc}: {out.getvalue()!r} {err.getvalue()!r}')\n"
+        )
+        run_optimized(code)
+
     def test_error_exit_code(self, capsys):
         from glasstrie.cli import main
 

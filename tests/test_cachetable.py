@@ -11,12 +11,7 @@ from glasstrie.nodepool import Pool
 
 
 def make(buckets=8, cap=4096):
-    pool = Pool(
-        TrieGeometry(key_bits=16, chunk_bits=4),
-        width=16,
-        max_capacity=cap,
-        trash_encoding=True,
-    )
+    pool = Pool(TrieGeometry(key_bits=16, chunk_bits=4), width=16, max_capacity=cap)
     return pool, CacheTable(pool, buckets=buckets)
 
 

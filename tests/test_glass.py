@@ -8,7 +8,7 @@ import pytest
 from glasstrie import glass as glassmod
 from glasstrie.bitops import TrieGeometry, clz
 from glasstrie.errors import ConfigError, GlassFull, InvalidArgument
-from glasstrie.glass import BAD, EAGER, LAZY, Glass, Iterator, create
+from glasstrie.glass import Glass, Iterator, create
 from glasstrie.nodepool import CapacityModel, max_size_for_capacity
 from glasstrie.oracle import RefMap, all_feature_configs
 
@@ -350,10 +350,9 @@ class TestSplitOff:
         assert g.find(0x123A if not above else 0x1230) is not None
         g.check_integrity(deep=True)
 
-    @pytest.mark.parametrize("edge_mode", [EAGER, LAZY])
     @pytest.mark.parametrize("cache_table", [True, False])
-    def test_cut_that_empties_the_glass(self, edge_mode, cache_table):
-        g = small_glass(edge_mode=edge_mode, cache_table=cache_table)
+    def test_cut_that_empties_the_glass(self, cache_table):
+        g = small_glass(cache_table=cache_table)
         keys = [0x0001, 0x1230, 0x1235, 0x8000, 0xFFFF]
         for k in keys:
             g.insert(k, k)
@@ -394,7 +393,7 @@ class TestSplitOff:
         g.check_integrity(deep=True)
 
     @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
-    def test_matches_reference_over_feature_cube(self, cfg):
+    def test_matches_reference_over_feature_configs(self, cfg):
         rng = random.Random(f"split-{cfg.label}")
         g = cfg.build(max_size=400)
         ref = RefMap()
@@ -501,27 +500,18 @@ class TestWorkedExamples:
 
 
 class TestEdgeCache:
-    @pytest.mark.parametrize("mode", [EAGER, LAZY])
-    def test_modes_agree(self, mode):
-        g = small_glass(edge_mode=mode)
+    def test_erased_min_moves_to_its_successor(self):
+        g = small_glass()
         for k in (3, 7):
             g.insert(k, k)
         assert g.min().key == 3 and g.max().key == 7
         g.erase(3)
         assert g.min().key == 7
 
-    def test_lazy_marks_bad_then_recomputes(self):
-        g = small_glass(edge_mode=LAZY)
-        for k in (3, 7, 11):
-            g.insert(k, k)
-        g.erase(3)
-        assert g._first is BAD
-        assert g.min().key == 7
-        assert g._first is not BAD
-
     def test_eager_never_bad(self):
+        # the edges are current after every insert and erase
         rng = random.Random(4)
-        g = small_glass(edge_mode=EAGER)
+        g = small_glass()
         present = set()
         for _ in range(2000):
             k = rng.randrange(1 << 16)
@@ -531,30 +521,23 @@ class TestEdgeCache:
             else:
                 g.insert(k, k)
                 present.add(k)
-            assert g._first is not BAD and g._last is not BAD
             if present:
                 assert g.min().key == min(present)
                 assert g.max().key == max(present)
 
-    @pytest.mark.parametrize("mode", [EAGER, LAZY])
-    def test_erased_edge_found_in_its_preleaf_or_from_root(self, mode):
-        g = small_glass(edge_mode=mode)
+    def test_erased_edge_found_in_its_preleaf_or_from_root(self):
+        g = small_glass()
         # three pre-leafs: slots 0x1_, 0x3_ and 0x4_
         for k in (0x12, 0x15, 0x30, 0x34, 0x47, 0x4E):
             g.insert(k, k * 10)
         # the erased edge's pre-leaf survives
         g.erase(0x12)
         g.erase(0x4E)
-        if mode == EAGER:
-            assert (g._first, g._last) == (g.locate(0x15), g.locate(0x47))
-        else:
-            assert g._first is BAD and g._last is BAD
+        assert (g._first, g._last) == (g.locate(0x15), g.locate(0x47))
         assert (g.min(), g.max()) == (g.locate(0x15), g.locate(0x47))
         # the erased edge's pre-leaf is freed
         g.erase(0x15)
         g.erase(0x47)
-        if mode == LAZY:
-            assert g._first is BAD and g._last is BAD
         assert (g.min(), g.max()) == (g.locate(0x30), g.locate(0x34))
         assert (g.value_at(g.min()), g.value_at(g.max())) == (0x30 * 10, 0x34 * 10)
         g.check_integrity()
@@ -565,7 +548,7 @@ class TestEdgeCache:
         # parents above it, and the new edge comes from where the walk
         # stopped
         rng = random.Random(12)
-        g = small_glass(cache_table=cache_table, edge_mode=EAGER)
+        g = small_glass(cache_table=cache_table)
         ref = RefMap()
         for k in rng.sample(range(1 << 16), 40) + [0x0001, 0x0002, 0xFFFE]:
             g.insert(k, k + 1)
@@ -598,7 +581,7 @@ class TestEdgeCache:
         g.check_integrity()
 
     def test_empty_transition_resets(self):
-        g = small_glass(edge_mode=LAZY)
+        g = small_glass()
         g.insert(9, 9)
         g.erase(9)
         assert g.min() is None and g.max() is None
@@ -729,9 +712,8 @@ class TestStructure:
 
 class TestAllocationRoute:
     @pytest.mark.parametrize("cache_table", [True, False])
-    @pytest.mark.parametrize("trash_encoding", [True, False])
-    def test_every_node_comes_through_allocate_many(self, cache_table, trash_encoding):
-        g = small_glass(max_size=64, cache_table=cache_table, trash_encoding=trash_encoding)
+    def test_every_node_comes_through_allocate_many(self, cache_table):
+        g = small_glass(max_size=64, cache_table=cache_table)
         pool = g.pool
         counted = 0
         allocate_many, deallocate_many = pool.allocate_many, pool.deallocate_many
@@ -797,10 +779,9 @@ class TestLazyPool:
     """A glass's pool grows with its live nodes under the cap, while its
     table is sized from the cap once and never grows."""
 
-    @pytest.mark.parametrize("trash_encoding", [True, False])
     @pytest.mark.parametrize("live_limit", [300, 40], ids=["at cap", "below cap"])
-    def test_grows_with_live_nodes_under_cap(self, trash_encoding, live_limit):
-        g = create(20, 4, width=16, max_size=300, trash_encoding=trash_encoding)
+    def test_grows_with_live_nodes_under_cap(self, live_limit):
+        g = create(20, 4, width=16, max_size=300)
         rng = random.Random(4242)
         live: list[int] = []
         for _ in range(20_000):
@@ -844,10 +825,9 @@ class TestLazyPool:
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("cache_table", [True, False])
-    @pytest.mark.parametrize("edge_mode", [EAGER, LAZY])
-    def test_random_ops_match_sorted_dict(self, cache_table, edge_mode):
-        rng = random.Random(hash((cache_table, edge_mode)) & 0xFFFF)
-        g = small_glass(cache_table=cache_table, edge_mode=edge_mode)
+    def test_random_ops_match_sorted_dict(self, cache_table):
+        rng = random.Random(f"oracle-{cache_table}")
+        g = small_glass(cache_table=cache_table)
         ref: dict[int, int] = {}
         order: list[int] = []
         for step in range(20_000):

@@ -36,8 +36,8 @@ class FreeListSim:
         self.free.insert(0, p)
 
 
-def make_pool(cap=64, trash=True):
-    return Pool(GEO, width=16, max_capacity=cap, trash_encoding=trash, debug=True)
+def make_pool(cap=64):
+    return Pool(GEO, width=16, max_capacity=cap, debug=True)
 
 
 class TestTrashEncoding:
@@ -60,14 +60,13 @@ class TestTrashEncoding:
         assert trash_decode(trash_encode(None, slot), slot) is None
 
 
-@pytest.mark.parametrize("trash", [True, False])
 class TestAllocator:
-    def test_fresh_pool_order(self, trash):
-        pool = make_pool(cap=4, trash=trash)
+    def test_fresh_pool_order(self):
+        pool = make_pool(cap=4)
         assert [pool.allocate() for _ in range(4)] == [0, 1, 2, 3]
 
-    def test_lifo_reuse(self, trash):
-        pool = make_pool(trash=trash)
+    def test_lifo_reuse(self):
+        pool = make_pool()
         for _ in range(8):
             pool.allocate()
         pool.deallocate(2)
@@ -77,40 +76,40 @@ class TestAllocator:
         assert pool.allocate() == 1
         assert pool.allocate() == 5
 
-    def test_exhaustion(self, trash):
-        pool = make_pool(cap=3, trash=trash)
+    def test_exhaustion(self):
+        pool = make_pool(cap=3)
         for _ in range(3):
             pool.allocate()
         with pytest.raises(PoolExhausted):
             pool.allocate()
 
-    def test_live_count(self, trash):
-        pool = make_pool(cap=8, trash=trash)
+    def test_live_count(self):
+        pool = make_pool(cap=8)
         handles = [pool.allocate() for _ in range(8)]
         assert pool.live_count == 8
         pool.deallocate(handles[3])
         assert pool.live_count == 7
 
-    def test_allocate_many_fresh(self, trash):
-        pool = make_pool(trash=trash)
+    def test_allocate_many_fresh(self):
+        pool = make_pool()
         assert pool.allocate_many(3) == [0, 1, 2]
 
-    def test_allocate_many_degenerate(self, trash):
-        a = make_pool(trash=trash)
-        b = make_pool(trash=trash)
+    def test_allocate_many_degenerate(self):
+        a = make_pool()
+        b = make_pool()
         assert a.allocate_many(1) == [b.allocate()]
 
-    def test_allocate_many_reuse_same_set(self, trash):
-        pool = make_pool(trash=trash)
+    def test_allocate_many_reuse_same_set(self):
+        pool = make_pool()
         first = pool.allocate_many(5)
         for p in first:
             pool.deallocate(p)
         assert set(pool.allocate_many(5)) == set(first)
 
-    def test_allocate_many_matches_single_allocations(self, trash):
+    def test_allocate_many_matches_single_allocations(self):
         rng = random.Random(11)
-        pool = make_pool(cap=128, trash=trash)
-        twin = make_pool(cap=128, trash=trash)
+        pool = make_pool(cap=128)
+        twin = make_pool(cap=128)
         live = []
         for _ in range(400):
             if live and rng.random() < 0.45:
@@ -126,17 +125,17 @@ class TestAllocator:
                 assert got == also
                 live.extend(got)
 
-    def test_allocate_many_rolls_back_on_exhaustion(self, trash):
-        pool = make_pool(cap=3, trash=trash)
+    def test_allocate_many_rolls_back_on_exhaustion(self):
+        pool = make_pool(cap=3)
         with pytest.raises(PoolExhausted):
             pool.allocate_many(5)
         assert pool.live_count == 0
         assert len(pool.free_list_slots()) == 3
 
-    def test_fuzz_against_simulation(self, trash):
+    def test_fuzz_against_simulation(self):
         rng = random.Random(1234)
         cap = 256
-        pool = make_pool(cap=cap, trash=trash)
+        pool = make_pool(cap=cap)
         sim = FreeListSim(cap)
         live = []
         for _ in range(100_000):
@@ -156,7 +155,7 @@ class TestBatchFree:
     def test_batch_frees_decode_like_simulation(self):
         rng = random.Random(77)
         cap = 200
-        pool = make_pool(cap=cap, trash=True)
+        pool = make_pool(cap=cap)
         sim = FreeListSim(cap)
         live = []
         batches = 0
@@ -196,13 +195,12 @@ class TestBatchFree:
             pool.deallocate_many([b, a])
 
 
-@pytest.mark.parametrize("trash", [True, False])
 class TestGrowth:
-    def test_allocate_many_across_growth_matches_single_allocations(self, trash):
+    def test_allocate_many_across_growth_matches_single_allocations(self):
         rng = random.Random(5)
         cap = 300
-        pool = make_pool(cap=cap, trash=trash)
-        twin = make_pool(cap=cap, trash=trash)
+        pool = make_pool(cap=cap)
+        twin = make_pool(cap=cap)
         sim = FreeListSim(cap)
         live = []
         grown = 0
@@ -226,8 +224,8 @@ class TestGrowth:
         assert pool.capacity == twin.capacity
         assert pool.free_list_slots() == twin.free_list_slots()
 
-    def test_failed_growth_leaves_pool_unchanged(self, trash):
-        pool = make_pool(cap=20, trash=trash)
+    def test_failed_growth_leaves_pool_unchanged(self):
+        pool = make_pool(cap=20)
         live = [pool.allocate() for _ in range(14)]
 
         def state():
@@ -243,14 +241,14 @@ class TestGrowth:
         with pytest.raises(PoolExhausted):
             pool.allocate()
 
-    def test_growth_step_builds_no_transient_copy(self, trash):
+    def test_growth_step_builds_no_transient_copy(self):
         # Six doublings, 16 -> 4096 nodes, one allocation at a time. An
         # in-place extend holds at its peak what it holds at the end
         # (measured 1.0001x); building each step's added slots as a list
         # first read 1.14-1.21x.
         tracemalloc.start()
         try:
-            pool = Pool(GEO, width=16, max_capacity=4096, trash_encoding=trash)
+            pool = Pool(GEO, width=16, max_capacity=4096)
             for _ in range(4096):
                 pool.allocate()
             held, peak = tracemalloc.get_traced_memory()
@@ -259,8 +257,8 @@ class TestGrowth:
         assert pool.capacity == 4096
         assert peak <= 1.02 * held
 
-    def test_every_node_handed_out_is_checked_blank(self, trash):
-        pool = make_pool(cap=8, trash=trash)
+    def test_every_node_handed_out_is_checked_blank(self):
+        pool = make_pool(cap=8)
         pool.mask[2] = 1
         with pytest.raises(AssertionError, match="blank"):
             pool.allocate_many(4)
@@ -269,7 +267,7 @@ class TestGrowth:
 
 class TestZeroedTail:
     def test_untouched_suffix_stays_zero(self):
-        pool = make_pool(cap=64, trash=True)
+        pool = make_pool(cap=64)
         handles = [pool.allocate() for _ in range(10)]
         pool.mask[handles[4]] = 0b1010
         pool.deallocate(handles[4])
@@ -282,7 +280,7 @@ class TestZeroedTail:
         assert all(v == 0 for v in pool.children[high_water * n:])
 
     def test_growth_mode_zeroes_new_region(self):
-        pool = Pool(GEO, width=16, max_capacity=4096, trash_encoding=True)
+        pool = Pool(GEO, width=16, max_capacity=4096)
         start = pool.capacity
         for _ in range(start + 1):
             pool.allocate()

@@ -117,6 +117,27 @@ class TestAdjust:
                 book.adjust(price, 0)
         assert book.levels() == [(100, 5)]
 
+    def test_out_of_range_price_refused_under_optimize(self, run_optimized):
+        # asserts vanish under python -O; the check must not
+        code = (
+            "from glasstrie import InvalidArgument, OrderBook\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "book = OrderBook('min', max_size=4, best_window=3, key_bits=16,\n"
+            "                 chunk_bits=4, width=16)\n"
+            "for p in (10, 11, 12, 13):\n"
+            "    book.adjust(p, 1)\n"
+            "for price in (-5, 1 << 16):\n"
+            "    try:\n"
+            "        book.adjust(price, 3)\n"
+            "    except InvalidArgument:\n"
+            "        continue\n"
+            "    raise SystemExit(f'price {price} accepted')\n"
+            "if book.levels() != [(p, 1) for p in (10, 11, 12, 13)] or book.best() != 10:\n"
+            "    raise SystemExit(f'book changed: {book.levels()}')\n"
+        )
+        run_optimized(code)
+
     def test_change_updates_glass_level_in_place(self):
         book = make(max_size=8)
         for p in (100, 300, 200):
@@ -311,15 +332,21 @@ class TestPartitionEquivalence:
     @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
     @pytest.mark.parametrize("price", [-5, -(1 << 40), 1 << 16, (1 << 16) + 0x123])
     def test_out_of_range_price_at_a_full_glass(self, side, price):
-        # a full glass sends an unvalidated price through preemption
+        # a full glass would send the price through preemption; the book
+        # refuses it instead, as it does below max_size, and keeps the
+        # partition of a book that never saw it
         book, ref = make(side), make(side, cls=PerLevelBook)
         for b in (book, ref):
             for p in (0x1230, 0x1235, 0x4000, 0xFFFF):
                 b.adjust(p, 7)
-            b.adjust(price, 3)
+        for place in (book.adjust, book.insert):
+            with pytest.raises(InvalidArgument):
+                place(price, 3)
         assert_same_partition(book, ref)
-        assert book.find(price) == 3
-        assert book.levels() == ref.levels()
+        assert book.find(price) is None
+        # accepted, such a price could evict the whole glass and become a
+        # threshold restructure cannot move back, so best() would raise
+        assert book.best() == (0x1230 if side == MIN_SIDE else 0xFFFF)
         book.check_invariants()
         book.glass.check_integrity(deep=True)
 
