@@ -1,7 +1,8 @@
 """Preemption and restructure: a whole book on a tiny glass.
 
-The glass holds only the best few prices; worse levels are preempted
-into a plain hash map behind a threshold price. Queries that run off
+Every level's amount lives in one dict; the glass holds only the best
+few prices, and worse levels are preempted out of it behind a threshold
+price. ``book.overflow`` lists the spilled levels. Queries that run off
 the glass trigger a restructure that pulls the best spilled levels
 back. A deliberately tiny capacity makes all of it visible.
 
@@ -25,9 +26,9 @@ for price in (105, 101, 103, 102, 104, 106):
     book.adjust(price, 10)
 show(book, "after six inserts")
 
-print("\n== lookups route by the threshold ==")
+print("\n== lookups read one dict, in the glass or spilled ==")
 print("  find(101) [glass]:", book.find(101))
-print("  find(106) [overflow]:", book.find(106))
+print("  find(106) [spilled]:", book.find(106))
 
 print("\n== the best side of the book drains, a query restructures ==")
 for price in (101, 102, 103, 104):

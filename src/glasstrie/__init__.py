@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     GlassError,
     GlassFull,
+    IntegrityError,
     InvalidArgument,
     MalformedEvent,
     NegativeAmount,
@@ -36,6 +37,7 @@ __all__ = [
     "Glass",
     "GlassError",
     "GlassFull",
+    "IntegrityError",
     "InvalidArgument",
     "Iterator",
     "MalformedEvent",

@@ -7,6 +7,8 @@ red-black tree, ``RBMap``, which allocates a node object per insert
 
 from __future__ import annotations
 
+from ..errors import ConfigError
+
 RED = True
 BLACK = False
 
@@ -334,7 +336,8 @@ class BaselineBook:
     kept on top of an ordinary ordered map."""
 
     def __init__(self, side: str, map_factory=RBMap):
-        assert side in ("min", "max")
+        if side not in ("min", "max"):
+            raise ConfigError(f"side must be 'min' or 'max', got {side!r}")
         self.side = side
         self.levels_map = map_factory()
 

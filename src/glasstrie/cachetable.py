@@ -19,6 +19,8 @@ doubled array still fits the cap.
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import ConfigError
 from .nodepool import Pool
 
@@ -30,6 +32,9 @@ PROBE_LIMIT = 5
 ABSENT = -1
 DONT_KNOW = -2
 
+#: array typecode of the bucket heads for each handle width
+HEAD_TYPECODES = {16: "H", 32: "I"}
+
 _HASH_MULT = 0x9E3779B97F4A7C15  # odd 64-bit Fibonacci constant
 _MASK64 = (1 << 64) - 1
 
@@ -38,8 +43,22 @@ def _floor_pow2(n: int) -> int:
     return 1 << (n.bit_length() - 1) if n >= 1 else 1
 
 
+def _blank_heads(pool: Pool, buckets: int) -> array:
+    """``buckets`` invalid handles in a typed array as wide as the
+    pool's handles (2 bytes a bucket at 16 bits, not a list's 8)."""
+    heads = array(HEAD_TYPECODES[pool.width])
+    if heads.itemsize * 8 < pool.width:
+        raise ConfigError(
+            f"array typecode {heads.typecode!r} holds {heads.itemsize * 8} bits, "
+            f"under the {pool.width}-bit handles"
+        )
+    heads.append(pool.invalid)
+    return heads * buckets
+
+
 class CacheTable:
-    """Bucket-head array; element storage lives inside the pool nodes."""
+    """Bucket-head array, typed to the handle width; element storage
+    lives inside the pool nodes."""
 
     def __init__(self, pool: Pool, buckets: int | None = None):
         if buckets is None:
@@ -48,7 +67,7 @@ class CacheTable:
             raise ConfigError(f"bucket count must be a positive power of two, got {buckets}")
         self.pool = pool
         self.bucket_count = buckets
-        self.heads = [pool.invalid] * buckets
+        self.heads = _blank_heads(pool, buckets)
         self.count = 0
         self._shift = 64 - buckets.bit_length() + 1
         # instrumentation: footprint of the most recent operation
@@ -125,7 +144,7 @@ class CacheTable:
         old_heads = self.heads
         self.bucket_count *= 2
         self._shift -= 1
-        self.heads = [inv] * self.bucket_count
+        self.heads = _blank_heads(pool, self.bucket_count)
         for head in old_heads:
             p = head
             while p != inv:

@@ -35,3 +35,7 @@ class MalformedEvent(GlassError):
 
 class AmplifyModifying(GlassError):
     """Amplification was requested for a modifying (non-read-only) operation."""
+
+
+class IntegrityError(GlassError):
+    """A structure's internal invariants were found broken."""

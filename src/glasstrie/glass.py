@@ -697,13 +697,6 @@ class Glass:
     def value_at(self, it: Iterator):
         return self._values[it[0] * self._fanout + (it[1] & self._nmask)]
 
-    def set_value(self, it: Iterator, value):
-        """Overwrite the value at a valid iterator in place. The trie,
-        the pool and the cached path are untouched."""
-        if value is None:
-            raise InvalidArgument("None is reserved for absent keys; erase the key instead")
-        self._values[it[0] * self._fanout + (it[1] & self._nmask)] = value
-
     def first_items(self, count: int, descending: bool = False) -> list[tuple[int, int]]:
         """Up to ``count`` (key, value) pairs from the ordered end.
 

@@ -522,13 +522,14 @@ def gen_book_ops(
 def _fast_partition_check(book, oracle: OracleBook):
     """Constant-cost partition assertions, sound because the sides are
     sorted: all glass prices beat the threshold iff the worst one does,
-    and the overflow map's best price is the oracle's next rank after
-    the glass contents."""
+    and the best spilled price is the oracle's next rank after the
+    glass contents."""
     glass = book.glass
     size = glass.size
+    spilled = len(book) - size
     assert size <= book.max_size
-    assert (book.threshold is None) == (len(book.overflow) == 0)
-    assert size + len(book.overflow) == len(oracle)
+    assert (book.threshold is None) == (spilled == 0)
+    assert size + spilled == len(oracle)
     if book.threshold is not None:
         if size:  # a drained glass with a set threshold is legal
             worst = glass.max() if book.side == "min" else glass.min()
@@ -578,7 +579,7 @@ def fuzz_orderbook(
         elif kind == "NB":
             price = op[1]
             sought = oracle.rank(price) + 1
-            saturated = book.glass.size == cap and bool(book.overflow)
+            saturated = book.glass.size == cap and len(book) > cap
             try:
                 got = book.next_best_after(price)
             except PriceTooFar:

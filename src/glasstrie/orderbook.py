@@ -1,24 +1,29 @@
 """One side of a limit order book over a bounded glass.
 
-The glass holds only the best prices. Inserts that would overflow it
-are preempted into a plain hash map, guarded by a threshold price: a
-price goes to (and is looked up in) the glass exactly when it is
-strictly better than the threshold. A preemption sets the threshold to
-the new price and moves every glass level not strictly better than it
-out with one trie cut (``Glass.split_off``). When a best/next query
-runs off the end of the glass while the overflow map is nonempty, a
-restructure ranks the overflow map with one sort, moves the best levels
-that fit back into the glass and makes the best one left the threshold.
-Queries never range past the configured best-price window, so a
-restructure always finds room; a full glass at that point means the
-caller broke the window contract and gets an error.
+Every level's amount lives in one dict, ``amounts``, next to the trie.
+The glass holds only the best prices, each mapped to ``True``: it is the
+ordered set the best/next queries walk. A price is in the glass exactly
+when it is strictly better than a threshold price; the levels that are
+not (the overflow) are simply the rest of ``amounts``, with no second
+container. An update that keeps its level is one dict store and never
+touches the trie; only a level that is born or dies does.
+
+A new level that finds the glass full is *preempted*: the threshold
+becomes its price and every glass level not strictly better than it
+leaves the glass with one trie cut (``Glass.split_off``), its amount
+staying where it was. When a best/next query runs off the end of the
+glass while levels are spilled, a restructure ranks the spilled prices
+with one sort, puts the best that fit back into the glass and makes the
+best one left the threshold. Queries never range past the configured
+best-price window, so a restructure always finds room; a full glass at
+that point means the caller broke the window contract and gets an error.
 
 A price outside ``[0, 2**key_bits)`` is refused by ``insert``, the one
 door every new level passes, with the book unchanged. Without that check,
 whether such a price was accepted would depend on how full the glass
 is: below ``max_size`` the glass refuses it, while a full glass would
-preempt it into the overflow map, where it would become the threshold
-and every later restructure would fail to move it back.
+preempt it, make it the threshold, and every later restructure would
+fail to move it back.
 
 The glass's pool is capped at the node bound for ``max_size`` and grows
 with the live levels (see ``nodepool``), so a side sized for the worst
@@ -27,7 +32,7 @@ case holds memory only for the levels it has.
 
 from __future__ import annotations
 
-from .errors import ConfigError, InvalidArgument, NegativeAmount, PriceTooFar
+from .errors import ConfigError, IntegrityError, InvalidArgument, NegativeAmount, PriceTooFar
 from .glass import Glass, create
 
 MIN_SIDE = "min"
@@ -62,14 +67,17 @@ class OrderBook:
         self.max_size = max_size
         self.best_window = best_window
         self._price_limit = 1 << key_bits
+        #: the best prices, each mapped to True
         self.glass: Glass = create(
             key_bits=key_bits,
             chunk_bits=chunk_bits,
             width=width,
             max_size=max_size,
         )
-        self.overflow: dict[int, int] = {}
-        #: None plays "worse than any real price"
+        #: every level's amount, in the glass or spilled
+        self.amounts: dict[int, int] = {}
+        #: None plays "worse than any real price"; set exactly while some
+        #: level is spilled
         self.threshold: int | None = None
 
     # -- side-dependent primitives --------------------------------------
@@ -95,36 +103,25 @@ class OrderBook:
         """Add ``delta`` to the level at ``price`` (creating or deleting
         the level as needed).
 
-        The level is routed once and looked up once. A glass level is
-        then changed or erased at the iterator found, with no second
-        lookup. Only a new level goes through :meth:`insert`, where
-        preemption lives, and only an emptied overflow level through
-        :meth:`erase`, which resets the threshold. A price outside
+        An update that keeps its level is one read and one store in
+        ``amounts``, with no routing and no trie call. Only a new level
+        goes through :meth:`insert`, where preemption lives, and only a
+        dying one through :meth:`erase`. A price outside
         ``[0, 2**key_bits)`` is never held, so it reaches :meth:`insert`,
         which refuses it (a negative delta raises NegativeAmount first);
         the level updates that make up most of a feed pay no range check.
         """
         if delta == 0:
             raise InvalidArgument(f"zero delta for level {price}")
-        glass = self.glass
-        if self._better_than_threshold(price):
-            it = glass.locate(price)
-            held = 0 if it is None else glass.value_at(it)
-        else:
-            it = None
-            held = self.overflow.get(price, 0)
+        amounts = self.amounts
+        held = amounts.get(price, 0)
         amount = held + delta
         if amount < 0:
             raise NegativeAmount(f"level {price} would go to {amount} (corrupt feed)")
         if not held:
             self.insert(price, amount)
-        elif it is not None:
-            if amount:
-                glass.set_value(it, amount)
-            else:
-                glass.erase_at(it)
         elif amount:
-            self.overflow[price] = amount
+            amounts[price] = amount
         else:
             self.erase(price)
 
@@ -134,37 +131,34 @@ class OrderBook:
         if not 0 <= price < self._price_limit:
             raise InvalidArgument(f"price {price} is outside [0, {self._price_limit})")
         if self._better_than_threshold(price):
-            if self.glass.size < self.max_size:
-                self.glass.insert(price, amount)
+            glass = self.glass
+            if glass.size < self.max_size:
+                glass.insert(price, True)
             else:
-                # preemption: the glass is full, so the new level goes to
-                # the overflow map and the threshold drops to its price.
-                # Every glass level no longer strictly better than the new
-                # threshold must follow it out, or later lookups of those
-                # prices would be routed to the overflow map and miss. One
-                # trie cut at the price removes them all: every level at
-                # or above it on a min side, at or below it on a max side.
-                self.overflow[price] = amount
+                # preemption: the glass is full, so the new level spills
+                # and the threshold drops to its price. Every glass level
+                # no longer strictly better than the new threshold must
+                # leave the glass too, or the glass would hold a spilled
+                # price. One trie cut at the price removes them all: every
+                # level at or above it on a min side, at or below it on a
+                # max side. Their amounts stay in ``amounts``.
                 self.threshold = price
-                self.overflow.update(self.glass.split_off(price, self.side == MIN_SIDE))
-        else:
-            self.overflow[price] = amount
+                glass.split_off(price, self.side == MIN_SIDE)
+        self.amounts[price] = amount
 
     def erase(self, price: int):
+        if self.amounts.pop(price, None) is None:
+            return
         if self._better_than_threshold(price):
             self.glass.erase(price)
-        else:
-            self.overflow.pop(price, None)
-            if not self.overflow:
-                # keep "overflow nonempty iff threshold set" true, so a
-                # later miss against a drained overflow cannot trip a
-                # pointless restructure
-                self.threshold = None
+        elif len(self.amounts) == self.glass.size:
+            # the last spilled level is gone: keep "threshold set iff a
+            # level is spilled" true, so a later miss cannot trip a
+            # pointless restructure
+            self.threshold = None
 
     def find(self, price: int) -> int | None:
-        if self._better_than_threshold(price):
-            return self.glass.find(price)
-        return self.overflow.get(price)
+        return self.amounts.get(price)
 
     def best(self) -> int | None:
         """Best price of the whole book, or None when it is empty."""
@@ -182,31 +176,37 @@ class OrderBook:
         return result
 
     def restructure(self):
-        """Move the best overflow levels into the glass and advance the
-        threshold to the best price left behind (or clear it).
+        """Move the best spilled levels into the glass and advance the
+        threshold to the best price left spilled (or clear it).
 
-        One sort ranks the whole overflow map; the levels that fit move
-        best first, and the rank just past them is the new threshold.
+        The spilled prices are the keys of ``amounts`` not strictly
+        better than the threshold; one sort ranks them, the levels that
+        fit go into the glass best first, and the rank just past them is
+        the new threshold. Amounts do not move.
         """
         available = self.max_size - self.glass.size
         if available == 0:
             raise PriceTooFar(
                 "next-best query beyond the reachable window: glass already full"
             )
-        overflow = self.overflow
-        ranked = sorted(overflow, reverse=self.side == MAX_SIDE)
+        t = self.threshold
+        if t is None:
+            return
+        if self.side == MIN_SIDE:
+            ranked = sorted([p for p in self.amounts if p >= t])
+        else:
+            ranked = sorted([p for p in self.amounts if p <= t], reverse=True)
         insert = self.glass.insert
         for price in ranked[:available]:
-            insert(price, overflow[price])
-            del overflow[price]
+            insert(price, True)
         self.threshold = ranked[available] if available < len(ranked) else None
 
     def iterate_best(self, depth: int) -> list[tuple[int, int]]:
         """Best ``depth`` levels, best first, as (price, amount) pairs.
 
-        Walks the glass with its own iterators (amounts read straight
-        from the iterator slots); a restructure in the middle of the
-        walk leaves existing iterators valid, since it only adds levels.
+        Walks the glass's prices in one ``first_items`` call and reads
+        each amount from ``amounts``; a glass that runs dry mid-window
+        is refilled by a restructure and walked again.
         """
         if depth > self.best_window:
             raise ConfigError(
@@ -220,30 +220,57 @@ class OrderBook:
             # the glass ran dry mid-window: pull levels back and rewalk
             self.restructure()
             items = self.glass.first_items(depth, descending)
-        return items
+        amounts = self.amounts
+        return [(price, amounts[price]) for price, _ in items]
 
     # -- introspection ----------------------------------------------------
 
     def __len__(self) -> int:
-        return self.glass.size + len(self.overflow)
+        return len(self.amounts)
+
+    @property
+    def overflow(self) -> dict[int, int]:
+        """The spilled levels as a new {price: amount} dict: every level
+        not strictly better than the threshold. O(levels); for tests and
+        demos."""
+        t = self.threshold
+        if t is None:
+            return {}
+        better = self.better
+        return {p: a for p, a in self.amounts.items() if not better(p, t)}
 
     def levels(self) -> list[tuple[int, int]]:
         """Every level, best first (test helper; walks everything)."""
         descending = self.side == MAX_SIDE
-        rest = sorted(self.overflow.items(), reverse=descending)
-        return self.glass.first_items(self.glass.size, descending) + rest
+        prices = self.glass.keys()
+        if descending:
+            prices.reverse()
+        prices += sorted(self.overflow, reverse=descending)
+        amounts = self.amounts
+        return [(price, amounts[price]) for price in prices]
 
     def check_invariants(self):
-        """Assert the glass/overflow partition; test harness use."""
-        assert self.glass.size <= self.max_size
-        assert bool(self.overflow) == (self.threshold is not None)
-        glass_keys = self.glass.keys()
-        if self.threshold is not None:
-            for price in glass_keys:
-                assert self.better(price, self.threshold)
-            for price in self.overflow:
-                assert not self.better(price, self.threshold)
-        if glass_keys and self.overflow:
-            worst_glass = glass_keys[-1] if self.side == MIN_SIDE else glass_keys[0]
-            for price in self.overflow:
-                assert self.better(worst_glass, price)
+        """Check the glass/amounts partition and raise IntegrityError on
+        the first break; test harness use, O(levels). Plain ``if``s, so
+        the checks also run under ``python -O``."""
+        glass = self.glass
+        amounts = self.amounts
+        t = self.threshold
+        if glass.size > self.max_size:
+            raise IntegrityError(f"glass holds {glass.size} levels, over {self.max_size}")
+        for price, value in glass.first_items(glass.size):
+            if value is not True:
+                raise IntegrityError(f"glass maps price {price} to {value!r}, not True")
+            if price not in amounts:
+                raise IntegrityError(f"glass price {price} has no amount")
+            if t is not None and not self.better(price, t):
+                raise IntegrityError(f"glass price {price} not better than threshold {t}")
+        for price, amount in amounts.items():
+            if type(amount) is not int or amount <= 0:
+                raise IntegrityError(f"level {price} holds {amount!r}, not a positive int")
+        spilled = set(amounts).difference(glass.keys())
+        if (t is None) != (not spilled):
+            raise IntegrityError(f"threshold {t} with {len(spilled)} spilled levels")
+        for price in spilled:
+            if self.better(price, t):
+                raise IntegrityError(f"spilled price {price} better than threshold {t}")

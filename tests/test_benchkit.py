@@ -326,6 +326,17 @@ class TestBaselines:
             elif op[0] == "NB":
                 assert book.next_best_after(op[1]) == oracle.next_best_after(op[1])
 
+    def test_baseline_book_refuses_unknown_side(self, run_optimized):
+        run_optimized(
+            "from glasstrie.benchkit.baseline import BaselineBook\n"
+            "from glasstrie.errors import ConfigError\n"
+            "try:\n"
+            "    BaselineBook('bid')\n"
+            "except ConfigError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('side accepted')\n"
+        )
+
 
 class TestCli:
     def test_capacity_command(self, capsys):

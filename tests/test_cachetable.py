@@ -5,6 +5,7 @@ import random
 import pytest
 
 from glasstrie.bitops import TrieGeometry
+from glasstrie import cachetable
 from glasstrie.cachetable import ABSENT, DONT_KNOW, PROBE_LIMIT, CacheTable
 from glasstrie.errors import ConfigError
 from glasstrie.nodepool import Pool
@@ -41,6 +42,22 @@ class TestSizing:
         pool = Pool(geo, width=16, max_capacity=3000)
         assert pool.capacity == 16
         assert CacheTable(pool).bucket_count == 2048
+
+    @pytest.mark.parametrize("width, itemsize", [(16, 2), (32, 4)])
+    def test_heads_are_typed_to_the_handle_width(self, width, itemsize):
+        pool = Pool(TrieGeometry(key_bits=16, chunk_bits=4), width=width, max_capacity=600)
+        table = CacheTable(pool)
+        assert table.heads.itemsize == itemsize
+        assert list(table.heads) == [pool.invalid] * 512
+        table.grow()
+        assert table.heads.itemsize == itemsize
+        assert list(table.heads) == [pool.invalid] * 1024
+
+    def test_heads_narrower_than_handles_refused(self, monkeypatch):
+        pool = Pool(TrieGeometry(key_bits=16, chunk_bits=4), width=16, max_capacity=64)
+        monkeypatch.setitem(cachetable.HEAD_TYPECODES, 16, "B")
+        with pytest.raises(ConfigError):
+            CacheTable(pool)
 
 
 class TestChains:

@@ -184,22 +184,6 @@ class TestLocateSetValue:
         assert g.locate(0x900) is None  # no pre-leaf
         assert (g.last_key, g.path_len, list(g.rho)) == path
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_set_value_writes_in_place(self, cache_table):
-        g = small_glass(cache_table=cache_table)
-        for k in (0x123, 0x125, 0x800):
-            g.insert(k, "old")
-        state = (g.dump(), g.pool.live_count, g.last_key, g.path_len, list(g.rho))
-        it = g.locate(0x125)
-        g.set_value(it, "new")
-        assert g.find(0x125) == "new" and g.find(0x123) == "old"
-        g.set_value(it, "old")
-        assert (g.dump(), g.pool.live_count, g.last_key, g.path_len, list(g.rho)) == state
-        with pytest.raises(InvalidArgument):
-            g.set_value(it, None)
-        assert g.find(0x125) == "old"
-        g.check_integrity()
-
 
 class TestCachedPathLookup:
     """``locate`` and ``erase`` answer a key in the pre-leaf that ends a

@@ -5,8 +5,14 @@ import random
 
 import pytest
 
-from glasstrie.errors import ConfigError, InvalidArgument, NegativeAmount, PriceTooFar
-from glasstrie.glass import create
+from glasstrie.errors import (
+    ConfigError,
+    IntegrityError,
+    InvalidArgument,
+    NegativeAmount,
+    PriceTooFar,
+)
+from glasstrie.glass import Glass, create
 from glasstrie.oracle import OracleBook, fuzz_orderbook, gen_book_ops
 from glasstrie.orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 
@@ -150,6 +156,39 @@ class TestAdjust:
         assert book.levels() == [(100, 3), (200, 5), (300, 9)]
 
     @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_update_that_keeps_its_level_makes_no_glass_call(self, side):
+        book = make(side, max_size=4)
+        for p in (0x120, 0x123, 0x4000, 0x4001, 0x9000, 0x9001):
+            book.adjust(p, 5)
+        assert book.overflow  # both a glass level and a spilled one below
+        g = book.glass
+
+        def state():
+            return (g.dump(), g.pool.live_count, g.last_key, g.path_len,
+                    g.table.count, book.threshold)
+
+        before = state()
+        calls = []
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in dir(Glass):
+            if not name.startswith("__") and callable(getattr(Glass, name)):
+                setattr(g, name, recording(name, getattr(g, name)))
+        for p in (0x123, 0x4000, 0x9000, 0x120):
+            book.adjust(p, 4)
+            book.adjust(p, -7)
+        assert calls == []
+        assert state() == before
+        assert book.find(0x123) == 2 and book.find(0x9000) == 2
+        assert len(book) == 6
+        book.check_invariants()
+
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
     def test_levels_best_first_across_glass_and_overflow(self, side):
         book = make(side, max_size=4)
         prices = [5, 1, 9, 3, 7, 2, 8]
@@ -255,40 +294,109 @@ class TestRestructure:
     def test_restructure_moves_all_when_room(self):
         book = make(MIN_SIDE, max_size=4)
         book.threshold = 100
-        book.overflow.update({100: 1, 101: 1, 102: 1})
+        book.amounts.update({100: 1, 101: 1, 102: 1})
         book.restructure()
         assert sorted(book.glass.keys()) == [100, 101, 102]
         assert book.threshold is None and not book.overflow
+        book.check_invariants()
+
+
+def _corrupt_amount(book):
+    book.amounts[2] = 0
+
+
+def _drop_glass_amount(book):
+    del book.amounts[1]
+
+
+def _spill_a_better_price(book):
+    book.amounts[0] = 1
+
+
+def _clear_threshold(book):
+    book.threshold = None
+
+
+def _set_threshold_with_nothing_spilled(book):
+    for p in (5, 6):
+        book.adjust(p, -p)
+    book.threshold = 9
+
+
+def _overfill_the_glass(book):
+    book.max_size = 3
+
+
+class TestCheckInvariants:
+    @staticmethod
+    def spilled_book():
+        book = make(MIN_SIDE, max_size=4)
+        for p in (1, 2, 3, 4, 5, 6):
+            book.adjust(p, p)
+        book.check_invariants()
+        return book
+
+    @pytest.mark.parametrize("corrupt", [
+        _corrupt_amount, _drop_glass_amount, _spill_a_better_price, _clear_threshold,
+        _set_threshold_with_nothing_spilled, _overfill_the_glass,
+    ])
+    def test_each_break_raises(self, corrupt):
+        book = self.spilled_book()
+        corrupt(book)
+        with pytest.raises(IntegrityError):
+            book.check_invariants()
+
+    def test_corrupt_amount_caught_under_optimize(self, run_optimized):
+        # asserts vanish under python -O; the integrity walk must not
+        code = (
+            "from glasstrie import IntegrityError, OrderBook\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "book = OrderBook('max', max_size=4, best_window=3, key_bits=16,\n"
+            "                 chunk_bits=4, width=16)\n"
+            "for p in (10, 11, 12, 13, 14):\n"
+            "    book.adjust(p, 2)\n"
+            "book.check_invariants()\n"
+            "book.amounts[12] = -2\n"
+            "try:\n"
+            "    book.check_invariants()\n"
+            "except IntegrityError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('corrupt amount passed')\n"
+        )
+        run_optimized(code)
 
 
 class PerLevelBook(OrderBook):
     """The spill path before the bulk cut: preemption evicts the worst
-    glass level one at a time, and restructure ranks the overflow with
-    ``heapq``. The partition it keeps is the reference for the real one.
+    glass level one at a time, and restructure ranks the spilled levels
+    with ``heapq``. The partition it keeps is the reference for the real
+    one.
     """
 
     def insert(self, price, amount):
         if not (self._better_than_threshold(price) and self.glass.size >= self.max_size):
             return super().insert(price, amount)
-        self.overflow[price] = amount
+        self.amounts[price] = amount
         self.threshold = price
         glass = self.glass
         while True:
             worst = glass.max() if self.side == MIN_SIDE else glass.min()
             if worst is None or self.better(worst.key, price):
                 break
-            self.overflow[worst.key] = glass.value_at(worst)
             glass.erase_at(worst)
 
     def restructure(self):
         available = self.max_size - self.glass.size
         if available == 0:
             raise PriceTooFar("glass already full")
+        spilled = self.overflow
         pick = heapq.nsmallest if self.side == MIN_SIDE else heapq.nlargest
-        for price, amount in pick(min(available, len(self.overflow)), self.overflow.items()):
-            self.glass.insert(price, amount)
-            del self.overflow[price]
-        self.threshold = pick(1, self.overflow)[0] if self.overflow else None
+        moved = pick(min(available, len(spilled)), spilled)
+        for price in moved:
+            self.glass.insert(price, True)
+            del spilled[price]
+        self.threshold = pick(1, spilled)[0] if spilled else None
 
 
 def run_op(book, op):
@@ -309,6 +417,7 @@ def assert_same_partition(book, ref):
     assert book.glass.keys() == ref.glass.keys()
     assert book.overflow == ref.overflow
     assert book.threshold == ref.threshold
+    assert book.amounts == ref.amounts
 
 
 class TestPartitionEquivalence:
