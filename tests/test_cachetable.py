@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from glasstrie.bitops import TrieGeometry
 from glasstrie import cachetable
+from glasstrie.bitops import TrieGeometry
 from glasstrie.cachetable import ABSENT, DONT_KNOW, PROBE_LIMIT, CacheTable
 from glasstrie.errors import ConfigError
 from glasstrie.nodepool import Pool

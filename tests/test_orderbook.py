@@ -158,10 +158,12 @@ class TestAdjust:
     @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
     def test_update_that_keeps_its_level_makes_no_glass_call(self, side):
         book = make(side, max_size=4)
-        for p in (0x120, 0x123, 0x4000, 0x4001, 0x9000, 0x9001):
+        prices = (0x120, 0x123, 0x4000, 0x4001, 0x9000, 0x9001)
+        for p in prices:
             book.adjust(p, 5)
-        assert book.overflow  # both a glass level and a spilled one below
         g = book.glass
+        # the updates below hit glass levels and spilled ones alike
+        assert g.size and book.overflow
 
         def state():
             return (g.dump(), g.pool.live_count, g.last_key, g.path_len,
@@ -179,13 +181,12 @@ class TestAdjust:
         for name in dir(Glass):
             if not name.startswith("__") and callable(getattr(Glass, name)):
                 setattr(g, name, recording(name, getattr(g, name)))
-        for p in (0x123, 0x4000, 0x9000, 0x120):
+        for p in prices:
             book.adjust(p, 4)
             book.adjust(p, -7)
         assert calls == []
         assert state() == before
-        assert book.find(0x123) == 2 and book.find(0x9000) == 2
-        assert len(book) == 6
+        assert [book.find(p) for p in prices] == [2] * 6
         book.check_invariants()
 
     @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
