@@ -35,6 +35,12 @@ cut pre-leaf, frees all the nodes in one ``Pool.deallocate_many`` call
 and repairs ``size``, the cached path and the edge cache once, where
 erasing the same elements one by one would repeat each of those steps
 per element. An order book's preemption is one such cut.
+``insert_sorted(keys, value)`` is its build-side twin: it inserts a
+strictly monotone run one pre-leaf at a time, jumping and descending
+once per pre-leaf rather than once per key, and repairs ``size`` and the
+edge cache once. It leaves the state one ``insert`` per key would,
+allocations and table chains included. An order book's restructure is
+one such build.
 
 Pool arrays and geometry constants are bound to instance attributes
 once. Lookups and neighbour walks are built from three private
@@ -45,9 +51,10 @@ key, climb parents until a sibling subtree exists, roll down its edge).
 the cached path as it goes. It has two arms: a descent that reaches the
 pre-leaf sets a slot there and returns; any other, an empty glass
 included (a descent that stops above the root), builds the missing
-suffix from one ``Pool.allocate_many`` batch in one loop. Three copies
-stay inlined because routing them through a shared helper measured
-slower:
+suffix with ``_build_suffix``, from one ``Pool.allocate_many`` batch in
+one loop. ``insert_sorted`` calls ``_jump`` and the same helper, and
+writes the descent out as ``insert`` does. Three copies stay inlined
+because routing them through a shared helper measured slower:
 
 * ``first_items`` walks with its own climb loop: with its climbs routed
   through ``_climb``, ``first_items(10)`` over sparse keys took 1.35-1.5x
@@ -67,11 +74,12 @@ slower:
 
 from __future__ import annotations
 
+from operator import gt as _gt, lt as _lt
 from typing import NamedTuple
 
 from .bitops import TrieGeometry, WORD_BITS
 from .cachetable import PROBE_LIMIT, CacheTable, _HASH_MULT, _MASK64
-from .errors import ConfigError, GlassFull, InvalidArgument
+from .errors import ConfigError, GlassFull, IntegrityError, InvalidArgument
 from .nodepool import CapacityModel, Pool, capacity_bound_for_size, max_size_for_capacity
 
 
@@ -273,6 +281,7 @@ class Glass:
         if self.root == inv:
             # an empty glass: the descent stops above the root
             depth = -1
+            node = inv
             offset = c_bits * self._levels
         else:
             depth, node = self._jump(key)
@@ -311,9 +320,39 @@ class Glass:
         self.path_len = depth + 1
         if self.size >= self.max_size:
             raise GlassFull(f"glass is at its maximum size {self.max_size}")
-        # build the missing suffix, depths depth+1 .. last, in one batch
-        nodes = self.pool.allocate_many(last - depth)
+        preleaf = self._build_suffix(key, value, node, depth, offset)
+        self.size += 1
+        self.path_len = self._levels
+        first = self._first
+        if first is None or key < first[1]:
+            self._first = _new(Iterator, (preleaf, key))
+        lastit = self._last
+        if lastit is None or key > lastit[1]:
+            self._last = _new(Iterator, (preleaf, key))
+        return True
+
+    def _build_suffix(self, key: int, value, node: int, depth: int, offset: int) -> int:
+        """Build ``key``'s missing nodes, depths ``depth + 1`` to the
+        last, from one ``Pool.allocate_many`` batch and return the new
+        pre-leaf.
+
+        ``node`` is the deepest existing node on the key's path, at
+        ``depth`` with its chunk at ``offset``; an empty glass passes
+        depth -1 and the offset above the root. The new nodes are linked
+        in and written into ``rho``, the key's slot is set to ``value``
+        (the pre-leaf's mask holds that one bit) and the pre-leaf is
+        registered in the table. ``size``, ``path_len`` and the edges are
+        left to the caller.
+        """
+        inv = self._invalid
+        fanout = self._fanout
+        n_mask = self._nmask
+        c_bits = self._cbits
+        rho = self.rho
+        mask = self._mask
+        children = self._children
         parent_arr = self._parent
+        nodes = self.pool.allocate_many(self._lastdepth - depth)
         parent = nodes[0]
         if depth < 0:
             self.root = parent
@@ -334,22 +373,125 @@ class Glass:
             depth += 1
             rho[depth] = child
             parent = child
-        preleaf = parent
         c = key & n_mask
-        mask[preleaf] = 1 << c
-        self._values[preleaf * fanout + c] = value
-        self.size += 1
-        self.path_len = self._levels
-        first = self._first
-        if first is None or key < first[1]:
-            self._first = _new(Iterator, (preleaf, key))
-        lastit = self._last
-        if lastit is None or key > lastit[1]:
-            self._last = _new(Iterator, (preleaf, key))
+        mask[parent] = 1 << c
+        self._values[parent * fanout + c] = value
         table = self.table
         if table is not None:
-            table.insert(key >> c_bits, preleaf)
-        return True
+            table.insert(key >> c_bits, parent)
+        return parent
+
+    def insert_sorted(self, keys: list[int], value) -> int:
+        """Insert-if-absent every key of a strictly ascending or strictly
+        descending run, each mapped to ``value``; returns how many keys
+        were inserted. A key already present is left as it is.
+
+        The build-side twin of :meth:`split_off`, and the end state of
+        one :meth:`insert` per key in run order: the same nodes from the
+        same allocations, the same table chains, the same cached path and
+        edges. The run is built one pre-leaf at a time. A key in the
+        pre-leaf in hand only sets a bit of a local mask and its value
+        slot, and the mask is stored once the run leaves that pre-leaf;
+        a key in another pre-leaf jumps from the cached path with
+        ``_jump`` and descends, building any missing suffix with
+        ``_build_suffix``. ``size`` and the edges are repaired once, at
+        the end.
+
+        Every check runs before the first write, so on an error the glass
+        is unchanged: InvalidArgument for a ``None`` value, a key outside
+        ``[0, 2**key_bits)`` or a run that is not strictly monotone, and
+        GlassFull when ``size + len(keys)`` exceeds ``max_size``, present
+        keys counted too. An empty run returns 0.
+        """
+        count = len(keys)
+        if not count:
+            return 0
+        if value is None:
+            raise InvalidArgument("None is reserved for absent keys")
+        lo = keys[0]
+        hi = keys[-1]
+        ascending = lo < hi
+        if not ascending:
+            lo, hi = hi, lo
+        # a strictly monotone run lies between its two ends
+        for end in (lo, hi):
+            if not 0 <= end < self._key_limit:
+                raise InvalidArgument(f"key {end} is outside [0, 2**{self.geo.key_bits})")
+        if count > 1 and not all(map(_lt if ascending else _gt, keys, keys[1:])):
+            raise InvalidArgument("keys must be strictly ascending or strictly descending")
+        if self.size + count > self.max_size:
+            raise GlassFull(
+                f"{count} keys do not fit a glass holding {self.size} of {self.max_size}"
+            )
+        inv = self._invalid
+        fanout = self._fanout
+        n_mask = self._nmask
+        c_bits = self._cbits
+        last = self._lastdepth
+        levels = self._levels
+        rho = self.rho
+        mask = self._mask
+        children = self._children
+        values = self._values
+        added = 0
+        # the pre-leaf in hand: its handle, key prefix, value row and the
+        # mask it will be given; ``start`` is the first key's pre-leaf
+        preleaf = start = inv
+        prefix = -1
+        row = m = 0
+        for key in keys:
+            key_hi = key >> c_bits
+            if key_hi != prefix:
+                # leave the pre-leaf in hand; find or build this key's
+                if prefix >= 0:
+                    mask[preleaf] = m
+                prefix = key_hi
+                if self.root == inv:
+                    depth = -1
+                    node = inv
+                    offset = c_bits * levels
+                else:
+                    depth, node = self._jump(key)
+                    rho[depth] = node
+                    offset = c_bits * (last - depth)
+                    while depth < last:
+                        c = (key >> offset) & n_mask
+                        if not (mask[node] >> c) & 1:
+                            break
+                        node = children[node * fanout + c]
+                        offset -= c_bits
+                        depth += 1
+                        rho[depth] = node
+                if depth < last:
+                    # a new pre-leaf arrives with this key's slot set
+                    preleaf = self._build_suffix(key, value, node, depth, offset)
+                    added += 1
+                else:
+                    preleaf = node
+                m = mask[preleaf]
+                row = preleaf * fanout
+                if start == inv:
+                    start = preleaf
+                # the next pre-leaf's jump starts from this key's path
+                self.last_key = key
+                self.path_len = levels
+            c = key & n_mask
+            if not (m >> c) & 1:
+                m |= 1 << c
+                values[row + c] = value
+                added += 1
+        mask[preleaf] = m
+        self.size += added
+        self.last_key = keys[-1]
+        if not ascending:
+            start, preleaf = preleaf, start
+        first = self._first
+        if first is None or lo < first[1]:
+            self._first = _new(Iterator, (start, lo))
+        lastit = self._last
+        if lastit is None or hi > lastit[1]:
+            self._last = _new(Iterator, (preleaf, hi))
+        return added
 
     def find(self, key: int):
         """Stored value for ``key``, or None.
@@ -493,11 +635,16 @@ class Glass:
             removed = len(freed)
 
         # cached-path truncation: overlap of the cached path with the
-        # removed chain, bounded by the shared-prefix depth
+        # removed chain, bounded by the depth of the deepest node the key
+        # shares with last_key; that is the pre-leaf's depth at most, also
+        # when the key is last_key itself, so erasing it drops exactly the
+        # path entries whose nodes were freed
         path_len = self.path_len
         if path_len:
             shared = (self._prefix_base + WORD_BITS
                       - (self.last_key ^ key).bit_length()) // self._cbits
+            if shared > self._lastdepth:
+                shared = self._lastdepth
             if shared > path_len:
                 shared = path_len
             drop = shared + removed + 1 - self._levels
@@ -840,19 +987,23 @@ class Glass:
         return "\n".join(lines)
 
     def check_integrity(self, deep: bool = True):
-        """Walk the whole structure and assert every invariant.
+        """Walk the whole structure and raise IntegrityError on the first
+        broken invariant.
 
         Test harness use only. One walk from the root, O(size * fanout),
         checks the trie and collects each live pre-leaf's key prefix;
         ``deep`` adds a walk of every cache-table chain, checking that
         it holds exactly those pre-leafs under exactly those prefixes.
+        The checks are plain ``if``s, so they also run under ``python -O``.
         """
         pool = self.pool
         geo = self.geo
         fanout = geo.fanout
         if self.root == pool.invalid:
-            assert self.size == 0
-            assert pool.live_count == 0
+            if self.size != 0:
+                raise IntegrityError(f"a glass with no root holds {self.size} elements")
+            if pool.live_count != 0:
+                raise IntegrityError(f"a glass with no root holds {pool.live_count} live nodes")
             return
         seen = set()
         elements = 0
@@ -860,54 +1011,69 @@ class Glass:
         stack = [(self.root, 0, 0)]
         while stack:
             node, depth, prefix = stack.pop()
-            assert node not in seen, "cycle in trie"
+            if node in seen:
+                raise IntegrityError("cycle in trie")
             seen.add(node)
             m = pool.mask[node]
-            assert m != 0, f"childless interior node {node} at depth {depth}"
+            if m == 0:
+                raise IntegrityError(f"childless interior node {node} at depth {depth}")
             if depth == geo.levels - 1:
                 prefixes[node] = prefix
                 for c in range(fanout):
+                    value = pool.values[node * fanout + c]
                     if (m >> c) & 1:
                         elements += 1
-                        assert pool.values[node * fanout + c] is not None
-                    else:
-                        assert pool.values[node * fanout + c] is None
+                        if value is None:
+                            raise IntegrityError(f"set slot {c} of pre-leaf {node} holds None")
+                    elif value is not None:
+                        raise IntegrityError(f"clear slot {c} of pre-leaf {node} holds {value!r}")
                 continue
             for c in range(fanout):
                 child = pool.children[node * fanout + c]
                 if (m >> c) & 1:
-                    assert child != pool.invalid
-                    assert pool.parent[child] == node
+                    if child == pool.invalid:
+                        raise IntegrityError(f"set bit {c} of node {node} has no child")
+                    if pool.parent[child] != node:
+                        raise IntegrityError(f"child {child} of node {node} names another parent")
                     stack.append((child, depth + 1, (prefix << geo.chunk_bits) | c))
-                else:
-                    assert child in (0, pool.invalid), (
+                elif child not in (0, pool.invalid):
+                    raise IntegrityError(
                         f"stale child handle under clear bit: node {node} slot {c}"
                     )
-        assert elements == self.size
-        assert len(seen) == pool.live_count
+        if elements != self.size:
+            raise IntegrityError(f"{elements} set slots, size says {self.size}")
+        if len(seen) != pool.live_count:
+            raise IntegrityError(f"{len(seen)} reachable nodes, pool says {pool.live_count} live")
         # cached path: every valid entry is the true ancestor of last_key
         if self.path_len:
             node = self.root
-            assert self.rho[0] == node
+            if self.rho[0] != node:
+                raise IntegrityError("cached path does not start at the root")
             offset = geo.chunk_bits * (geo.levels - 1)
             for i in range(1, self.path_len):
                 c = (self.last_key >> offset) & (fanout - 1)
-                assert (pool.mask[node] >> c) & 1, f"cached path broken at depth {i}"
+                if not (pool.mask[node] >> c) & 1:
+                    raise IntegrityError(f"cached path broken at depth {i}")
                 node = pool.children[node * fanout + c]
-                assert self.rho[i] == node
+                if self.rho[i] != node:
+                    raise IntegrityError(f"cached path names a wrong node at depth {i}")
                 offset -= geo.chunk_bits
         # cache table: one entry per live pre-leaf, under its true prefix
         if self.table is not None:
-            assert self.table.count == len(prefixes)
+            if self.table.count != len(prefixes):
+                raise IntegrityError(
+                    f"table counts {self.table.count} entries for {len(prefixes)} pre-leafs"
+                )
             if deep:
                 chained = {}
                 for b in range(self.table.bucket_count):
                     for p in self.table.chain(b):
                         chained[p] = pool.cache_key[p]
-                assert set(chained) == set(prefixes)
+                if set(chained) != set(prefixes):
+                    raise IntegrityError("table chains do not hold exactly the live pre-leafs")
                 for p, key_hi in chained.items():
-                    assert key_hi == prefixes[p], f"pre-leaf {p} chained under a wrong prefix"
-
+                    if key_hi != prefixes[p]:
+                        raise IntegrityError(f"pre-leaf {p} chained under a wrong prefix")
 
 def create(
     key_bits: int,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .bitops import TrieGeometry
-from .errors import ConfigError, InvalidArgument, PoolExhausted
+from .errors import ConfigError, IntegrityError, InvalidArgument, PoolExhausted
 
 #: bytes per node for each supported handle width
 NODE_BYTES = {16: 48, 32: 80}
@@ -99,7 +99,7 @@ class Pool:
         self.width = width
         self.invalid = invalid_handle(width)
         self.max_capacity = max_capacity
-        self.debug = debug  # double-free tracking (a debug-build check)
+        self.debug = debug  # double-free tracking (IntegrityError on one)
         self.live_count = 0
         self.capacity = 0
         self.mask, self.parent, self.chain_next, self.chain_prev = [], [], [], []
@@ -142,7 +142,8 @@ class Pool:
         """
         if self.debug:
             for p in nodes:
-                assert p not in self._free_set, f"double free of node {p}"
+                if p in self._free_set:
+                    raise IntegrityError(f"double free of node {p}")
                 self._free_set.add(p)
         mask, parent, chain_next = self.mask, self.parent, self.chain_next
         chain_prev, cache_key, link = self.chain_prev, self.cache_key, self.free_link
@@ -168,7 +169,8 @@ class Pool:
 
         All or nothing: when growth cannot cover what is still missing,
         PoolExhausted is raised before any node is taken, and the pool
-        is left as it was. Every node handed out must arrive blank.
+        is left as it was. Every node handed out must arrive blank, or
+        IntegrityError is raised, also under ``python -O``.
         """
         out = []
         p = self.first_free
@@ -184,7 +186,8 @@ class Pool:
                     )
                 self._grow(min(self.max_capacity, self.capacity * 2))
                 p = self.first_free
-            assert mask[p] == 0, "allocated node must arrive blank"
+            if mask[p]:
+                raise IntegrityError("allocated node must arrive blank")
             out.append(p)
             # trash_decode written out: 0 is the next slot, 1 the end
             s = link[p]

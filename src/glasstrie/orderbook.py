@@ -13,10 +13,11 @@ becomes its price and every glass level not strictly better than it
 leaves the glass with one trie cut (``Glass.split_off``), its amount
 staying where it was. When a best/next query runs off the end of the
 glass while levels are spilled, a restructure ranks the spilled prices
-with one sort, puts the best that fit back into the glass and makes the
-best one left the threshold. Queries never range past the configured
-best-price window, so a restructure always finds room; a full glass at
-that point means the caller broke the window contract and gets an error.
+with one sort, puts the best that fit back into the glass in one bulk
+build (``Glass.insert_sorted``) and makes the best one left the
+threshold. Queries never range past the configured best-price window,
+so a restructure always finds room; a full glass at that point means the
+caller broke the window contract and gets an error.
 
 A price outside ``[0, 2**key_bits)`` is refused by ``insert``, the one
 door every new level passes, with the book unchanged. Without that check,
@@ -181,8 +182,9 @@ class OrderBook:
 
         The spilled prices are the keys of ``amounts`` not strictly
         better than the threshold; one sort ranks them, the levels that
-        fit go into the glass best first, and the rank just past them is
-        the new threshold. Amounts do not move.
+        fit go into the glass in one ``Glass.insert_sorted`` call, which
+        builds the ranked run one pre-leaf at a time, and the rank just
+        past them is the new threshold. Amounts do not move.
         """
         available = self.max_size - self.glass.size
         if available == 0:
@@ -196,9 +198,7 @@ class OrderBook:
             ranked = sorted([p for p in self.amounts if p >= t])
         else:
             ranked = sorted([p for p in self.amounts if p <= t], reverse=True)
-        insert = self.glass.insert
-        for price in ranked[:available]:
-            insert(price, True)
+        self.glass.insert_sorted(ranked[:available], True)
         self.threshold = ranked[available] if available < len(ranked) else None
 
     def iterate_best(self, depth: int) -> list[tuple[int, int]]:

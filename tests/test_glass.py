@@ -7,7 +7,7 @@ import pytest
 
 from glasstrie import glass as glassmod
 from glasstrie.bitops import TrieGeometry, clz
-from glasstrie.errors import ConfigError, GlassFull, InvalidArgument
+from glasstrie.errors import ConfigError, GlassFull, IntegrityError, InvalidArgument
 from glasstrie.glass import Glass, Iterator, create
 from glasstrie.nodepool import CapacityModel, max_size_for_capacity
 from glasstrie.oracle import RefMap, all_feature_configs
@@ -167,6 +167,44 @@ class TestOutOfRangeKeys:
             "    raise SystemExit(f'glass holds {g.keys()}')\n"
         )
         run_optimized(code)
+
+
+class TestIntegrityChecks:
+    def test_corrupt_preleaf_mask_raises_under_optimize(self, run_optimized):
+        # asserts vanish under python -O; the integrity walk must not
+        code = (
+            "from glasstrie import create\n"
+            "from glasstrie.errors import IntegrityError\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "g = create(16, 4, width=16, max_size=256)\n"
+            "g.insert_sorted([0x1230, 0x1235, 0x8000], 'v')\n"
+            "g.check_integrity(deep=True)\n"
+            "g.pool.mask[g.min().preleaf] |= 1 << 7  # a set slot with no value\n"
+            "try:\n"
+            "    g.check_integrity(deep=True)\n"
+            "except IntegrityError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('corrupt mask passed')\n"
+        )
+        run_optimized(code)
+
+    def test_each_broken_invariant_raises(self):
+        g = small_glass()
+        g.insert_sorted([0x1230, 0x1235, 0x8000], "v")
+        g.check_integrity(deep=True)
+        for corrupt in (
+            lambda: g.pool.mask.__setitem__(g.min().preleaf, 0b1000_0000_0010_0001),
+            lambda: setattr(g, "size", 4),
+            lambda: g.rho.__setitem__(1, g.rho[2]),
+            lambda: setattr(g.pool, "live_count", 9),
+        ):
+            saved = (list(g.pool.mask), g.size, list(g.rho), g.pool.live_count)
+            corrupt()
+            with pytest.raises(IntegrityError):
+                g.check_integrity(deep=True)
+            g.pool.mask[:], g.size, g.rho[:], g.pool.live_count = saved
+            g.check_integrity(deep=True)
 
 
 class TestLocateSetValue:
@@ -443,6 +481,145 @@ class TestSplitOff:
         assert splits > 150
 
 
+def twin_state(g: Glass):
+    """Everything a run of single inserts and ``insert_sorted`` must
+    leave equal: trie, free list, cached path, edges and table chains."""
+    table = g.table
+    chains = None if table is None else [table.chain(b) for b in range(table.bucket_count)]
+    return (g.dump(), g.pool.free_list_slots(), g.pool.live_count, g.pool.capacity,
+            g.size, g.root, g.last_key, g.path_len, g.rho[:g.path_len],
+            g.min(), g.max(), chains)
+
+
+class TestInsertSorted:
+    """``insert_sorted`` builds a monotone run one pre-leaf at a time and
+    leaves the state one ``insert`` per key would."""
+
+    LIMIT = 1 << 16
+    STORED = (0x0100, 0x1203, 0x1231, 0x1238, 0x12F0, 0x8000, 0x8004, 0xFFFF)
+
+    @staticmethod
+    def twins(cfg, stored, max_size=400):
+        """Two glasses built alike, over a free list out of array order."""
+        pair = []
+        for _ in range(2):
+            g = cfg.build(max_size=max_size)
+            for k in (0x4444, 0x4445, 0xA000):
+                g.insert(k, k)
+            for k in (0x4444, 0xA000, 0x4445):
+                g.erase(k)
+            for k in stored:
+                g.insert(k, k)
+            pair.append(g)
+        return pair
+
+    RUNS = {
+        "ascending between stored keys": (STORED, list(range(0x1200, 0x1300, 3)) + [0x7FFF, 0x8001]),
+        "descending between stored keys": (STORED, list(range(0x12FE, 0x11FF, -5)) + [0x0101, 0x00FF]),
+        "into an empty glass ascending": ((), [0x0001, 0x0002, 0x0FFF, 0x1000, 0x5555, 0xFFFF]),
+        "into an empty glass descending": ((), [0xFFFF, 0x5555, 0x1000, 0x0FFF, 0x0002, 0x0001]),
+        "with present keys": (STORED, [0x0100, 0x1230, 0x1231, 0x1232, 0x1238, 0x8000, 0xFFFE, 0xFFFF]),
+        "only present keys": (STORED, [0x1231, 0x1238, 0x8004]),
+        "one new key": (STORED, [0x6000]),
+        "one key into an empty glass": ((), [0x6000]),
+        "one present key": (STORED, [0x8004]),
+        "one pre-leaf": (STORED, list(range(0x3330, 0x3340))),
+        "new minimum and maximum": (STORED[:-1], [0x0000, 0x0050, 0x9000, 0xFFFF]),
+        "new maximum and minimum descending": (STORED[:-1], [0xFFFF, 0x9000, 0x0050, 0x0000]),
+    }
+
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_end_state_equals_single_inserts(self, cfg, case):
+        stored, run = self.RUNS[case]
+        bulk, single = self.twins(cfg, stored)
+        added = bulk.insert_sorted(run, "v")
+        assert added == sum(single.insert(k, "v") for k in run)
+        assert added == len(set(run) - set(stored))
+        assert twin_state(bulk) == twin_state(single)
+        for k in run:
+            assert bulk.find(k) == (k if k in stored else "v")
+        bulk.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    def test_empty_run_touches_nothing(self, cfg):
+        g, _ = self.twins(cfg, self.STORED)
+        before = twin_state(g)
+        assert g.insert_sorted([], "v") == 0
+        assert twin_state(g) == before
+
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    def test_matches_reference_over_feature_cube(self, cfg):
+        rng = random.Random(f"insert-sorted-{cfg.label}")
+        g = cfg.build(max_size=300)
+        ref = RefMap()
+        limit = self.LIMIT
+        bulk = 0
+        for step in range(500):
+            r = rng.random()
+            keys = ref.keys()
+            if r < 0.3:
+                # a run of clustered and spread keys, some already stored
+                room = 300 - len(ref)
+                n = rng.randrange(min(room, 40) + 1)
+                base = rng.choice((0x1200, 0x7F00, 0xC000))
+                run = {base + rng.randrange(0x400) if rng.random() < 0.7 else rng.randrange(limit)
+                       for _ in range(n)}
+                run.update(rng.sample(keys, min(len(keys), rng.randrange(3))))
+                run = sorted(run)[:room]
+                if rng.random() < 0.5:
+                    run.reverse()
+                want = sum(ref.insert(k, step) for k in run)
+                assert g.insert_sorted(run, step) == want
+                bulk += want
+            elif r < 0.55 and len(ref) < 300:
+                k = rng.randrange(limit)
+                assert g.insert(k, step) == ref.insert(k, step)
+            elif r < 0.7 and keys:
+                k = rng.choice(keys)
+                assert g.erase(k) and ref.erase(k)
+            elif r < 0.85 and keys:
+                k = rng.choice(keys)
+                g.erase_at(g.locate(k))
+                ref.erase(k)
+            else:
+                key = rng.choice(keys) if keys and rng.random() < 0.5 else rng.randrange(limit)
+                above = rng.random() < 0.5
+                assert sorted(g.split_off(key, above)) == ref_split(ref, key, above)
+            assert g.keys() == ref.keys()
+            assert [g.find(k) for k in ref.keys()] == [ref.find(k) for k in ref.keys()]
+            lo, hi = g.min(), g.max()
+            assert (lo and lo.key, hi and hi.key) == (ref.min(), ref.max())
+            g.check_integrity(deep=True)
+            assert_free_nodes_blank(g)
+        assert bulk > 1000
+
+    ERRORS = {
+        "full": (GlassFull, [0x0200, 0x0300, 0x0400], "v"),
+        "full counting a present key": (GlassFull, [0x0100, 0x0300, 0x0400], "v"),
+        "-1 first": (InvalidArgument, [-1, 0x0300], "v"),
+        "-1 last": (InvalidArgument, [0x0300, -1], "v"),
+        "2**key_bits first": (InvalidArgument, [1 << 16, 0x0300], "v"),
+        "2**key_bits last": (InvalidArgument, [0x0300, 1 << 16], "v"),
+        "None value": (InvalidArgument, [0x0300], None),
+        "equal adjacent pair": (InvalidArgument, [0x0300, 0x0301, 0x0301, 0x0302], "v"),
+        "dip mid-run": (InvalidArgument, [0x0300, 0x0302, 0x0301, 0x0303], "v"),
+        "rise mid-descent": (InvalidArgument, [0x0303, 0x0301, 0x0302, 0x0300], "v"),
+    }
+
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_error_changes_nothing(self, cfg, case):
+        error, run, value = self.ERRORS[case]
+        # room for two more keys, so a run of three is refused as too many
+        g, _ = self.twins(cfg, self.STORED, max_size=len(self.STORED) + 2)
+        before = twin_state(g)
+        with pytest.raises(error):
+            g.insert_sorted(run, value)
+        assert twin_state(g) == before
+        g.check_integrity(deep=True)
+
+
 class TestWorkedExamples:
     def test_prefix_length_of_sibling_keys(self):
         # 010 vs 011 with one-bit chunks in an 8-bit word: the shared
@@ -460,17 +637,18 @@ class TestWorkedExamples:
         g.insert(0b0110, "b")
         assert g.pool.live_count - before == 1
 
-    def test_erase_truncates_cached_path(self):
-        # keys 010 then 011 share a pre-leaf; erasing 011 removes no
-        # nodes but still drops the pre-leaf entry from the cached path
+    def test_erase_keeps_cached_path_when_no_node_is_freed(self):
+        # keys 010 then 011 share a pre-leaf; erasing 011 frees no node,
+        # so every entry of the cached path still names a live ancestor
+        # and the path keeps all three
         g = create(key_bits=3, chunk_bits=1, width=16, max_size=8)
         g.insert(0b010, "a")
         g.insert(0b011, "b")
         assert g.path_len == 3
         path_before = list(g.rho[:3])
         g.erase(0b011)
-        assert g.path_len == 2
-        assert g.rho[:3] == path_before  # array left intact, only shortened
+        assert g.path_len == 3
+        assert g.rho[:3] == path_before
         g.check_integrity()
 
     def test_erase_only_element_removes_root(self):
@@ -491,8 +669,33 @@ class TestWorkedExamples:
         assert g.path_len == 4
         g.erase(0b0110)
         assert g.size == 1
+        assert g.path_len == 3
         g.check_integrity()
         assert g.find(0b0100) == "a"
+
+    # last_key is the second key; erasing it frees k nodes: none when the
+    # first key shares its pre-leaf, its whole branch below the root at
+    # k == 3
+    @pytest.mark.parametrize("k, second", [(0, 0x1235), (1, 0x1245), (2, 0x1345), (3, 0x2345)])
+    def test_erasing_last_key_drops_one_path_entry_per_freed_node(self, k, second):
+        g = small_glass()
+        g.insert(0x1230, "a")
+        g.insert(second, "b")
+        live, path = g.pool.live_count, list(g.rho)
+        g.erase(second)
+        assert g.pool.live_count == live - k
+        assert g.path_len == g._levels - k
+        assert g.rho[:g.path_len] == path[:g.path_len]
+        g.check_integrity()
+        # with no table probe, 0x1230 is found from what the path kept:
+        # its own pre-leaf, or a descent from the deepest entry left
+        g._heads = None
+        starts = []
+        descend = g._descend
+        g._descend = lambda key: starts.append(g._jump(key)[0]) or descend(key)
+        it = g.locate(0x1230)
+        assert it is not None and g.value_at(it) == "a"
+        assert starts == ([] if k == 0 else [g._levels - 1 - k])
 
 
 class TestEdgeCache:

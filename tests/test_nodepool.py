@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glasstrie.bitops import TrieGeometry
-from glasstrie.errors import ConfigError, InvalidArgument, PoolExhausted
+from glasstrie.errors import ConfigError, IntegrityError, InvalidArgument, PoolExhausted
 from glasstrie.nodepool import (
     CapacityModel,
     Pool,
@@ -199,7 +199,7 @@ class TestBatchFree:
         pool = make_pool(cap=8)
         a, b = pool.allocate_many(2)
         pool.deallocate_many([a])
-        with pytest.raises(AssertionError, match="double free"):
+        with pytest.raises(IntegrityError, match="double free"):
             pool.deallocate_many([b, a])
 
 
@@ -269,7 +269,7 @@ class TestGrowth:
     def test_every_node_handed_out_is_checked_blank(self):
         pool = make_pool(cap=8)
         pool.mask[2] = 1
-        with pytest.raises(AssertionError, match="blank"):
+        with pytest.raises(IntegrityError, match="blank"):
             pool.allocate_many(4)
         assert pool.live_count == 0
 

@@ -301,6 +301,29 @@ class TestRestructure:
         assert book.threshold is None and not book.overflow
         book.check_invariants()
 
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_refill_is_one_bulk_build(self, side):
+        book = make(side, max_size=8, window=4)
+        prices = [0x120 + 3 * i for i in range(12)] + [0x4000 + i for i in range(12)]
+        for p in prices:
+            book.adjust(p, 1)
+        ranked = sorted(prices, reverse=side == MAX_SIDE)
+        for p in ranked[:8]:
+            book.adjust(p, -1)
+        assert book.glass.size == 0 and len(book.overflow) == 16
+        g = book.glass
+        calls = []
+        for name in ("insert", "insert_sorted"):
+            method = getattr(g, name)
+            setattr(g, name, lambda *args, name=name, method=method:
+                    calls.append((name, args)) or method(*args))
+        book.restructure()
+        assert calls == [("insert_sorted", (ranked[8:16], True))]
+        assert g.keys() == sorted(ranked[8:16])
+        assert book.threshold == ranked[16]
+        book.check_invariants()
+        g.check_integrity(deep=True)
+
 
 def _corrupt_amount(book):
     book.amounts[2] = 0
