@@ -25,7 +25,7 @@ while it is not None:
     it = g.iter_next(it)
 
 print("\n== compressed iterators ==")
-# With the cache table on, a pre-leaf knows its own key prefix, so an
+# The cache table stores each pre-leaf's key prefix, so an
 # iterator shrinks to (handle, final chunk) and still round-trips.
 cit = g.compress(g.min())
 print("compressed:", cit, "->", g.decompress(cit))

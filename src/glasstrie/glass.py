@@ -1,8 +1,7 @@
 """The glass: a trie-based ordered map over fixed-width integer keys.
 
 Supports insert / erase / find / min / max / next / prev plus iterator
-stepping, with three optional accelerators that never change observable
-results:
+stepping, with three accelerators that never change observable results:
 
 * a cached root path to the last inserted key, so a descent can start
   at the deepest ancestor shared with the new key instead of the root,
@@ -24,7 +23,7 @@ constructor are unchanged for callers.
 ``locate`` and ``erase`` resolve a key's pre-leaf through
 ``_preleaf_of``: first the pre-leaf that ends a whole cached path, when
 the key differs from ``last_key`` only in its last chunk (no probe);
-then the cache table; on a don't-know, or with no table, the descent.
+then the cache table; on a don't-know, the descent.
 On perfbench's book-feed 73% of these lookups end at the first step,
 on map-uniform under 0.1%.
 ``erase_at`` removes the element at an iterator with no lookup at all;
@@ -115,14 +114,25 @@ class Glass:
         geo: TrieGeometry,
         pool: Pool,
         max_size: int,
-        cache_table: bool = True,
+        table: CacheTable | None = None,
     ):
+        """``table`` injects a cache table over ``pool`` (tests build
+        one with a single bucket to send lookups to the descent); None
+        builds the default ``CacheTable(pool)``. A table over another
+        pool, or one that already holds entries, raises ConfigError.
+        """
+        if table is None:
+            table = CacheTable(pool)
+        elif table.pool is not pool:
+            raise ConfigError("the cache table is over another pool")
+        elif table.count:
+            raise ConfigError(f"the cache table already holds {table.count} entries")
         self.geo = geo
         self.pool = pool
         self.max_size = max_size
         self.size = 0
         self.root = pool.invalid
-        self.table = CacheTable(pool) if cache_table else None
+        self.table = table
         # cached path: rho[i] is the depth-i ancestor of last_key for
         # i < path_len; entries beyond that are stale, not cleared
         self.last_key = 0
@@ -148,8 +158,8 @@ class Glass:
         self._parent = pool.parent
         self._cache_key = pool.cache_key
         self._chain_next = pool.chain_next
-        self._heads = self.table.heads if self.table is not None else None
-        self._tshift = self.table._shift if self.table is not None else 0
+        self._heads = table.heads
+        self._tshift = table._shift
 
     # -- helpers -------------------------------------------------------
 
@@ -376,9 +386,7 @@ class Glass:
         c = key & n_mask
         mask[parent] = 1 << c
         self._values[parent * fanout + c] = value
-        table = self.table
-        if table is not None:
-            table.insert(key >> c_bits, parent)
+        self.table.insert(key >> c_bits, parent)
         return parent
 
     def insert_sorted(self, keys: list[int], value) -> int:
@@ -496,30 +504,28 @@ class Glass:
     def find(self, key: int):
         """Stored value for ``key``, or None.
 
-        Resolution order: cache table (when enabled), then a descent
+        Resolution order: cache table, then, on a don't-know, a descent
         from the cached path. A definitive table answer never descends.
         The probe is ``_preleaf_of``'s, inlined (module docstring): on a
         hit the slot is read at once, since a slot is None exactly when
         its mask bit is clear.
         """
-        heads = self._heads
-        if heads is not None:
-            inv = self._invalid
-            key_hi = key >> self._cbits
-            p = heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
-            cache_key = self._cache_key
-            chain_next = self._chain_next
-            probes = 0
-            while p != inv and probes < PROBE_LIMIT:
-                if cache_key[p] == key_hi:
-                    return self._values[p * self._fanout + (key & self._nmask)]
-                p = chain_next[p]
-                probes += 1
-            if p == inv:
-                return None
-            # don't-know: _preleaf_of probes again, then descends
+        inv = self._invalid
+        key_hi = key >> self._cbits
+        p = self._heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
+        cache_key = self._cache_key
+        chain_next = self._chain_next
+        probes = 0
+        while p != inv and probes < PROBE_LIMIT:
+            if cache_key[p] == key_hi:
+                return self._values[p * self._fanout + (key & self._nmask)]
+            p = chain_next[p]
+            probes += 1
+        if p == inv:
+            return None
+        # don't-know: _preleaf_of probes again, then descends
         preleaf = self._preleaf_of(key)
-        if preleaf != self._invalid:
+        if preleaf != inv:
             c = key & self._nmask
             if (self._mask[preleaf] >> c) & 1:
                 return self._values[preleaf * self._fanout + c]
@@ -532,28 +538,25 @@ class Glass:
         from the path; a negative or out-of-range key differs from
         ``last_key`` above its last chunk, so the test rejects it.
         Otherwise a definitive cache-table answer decides at once, and a
-        don't-know (or no table) falls back to the descent. No stored
+        don't-know falls back to the descent. A don't-know means a chain
+        of live pre-leafs, so the glass is not empty there. No stored
         prefix matches a key outside ``[0, 2**key_bits)``, so only the
         descent needs the range check. Read-only.
         """
         if self.path_len == self._levels and not (key ^ self.last_key) >> self._cbits:
             return self.rho[self._lastdepth]
         inv = self._invalid
-        heads = self._heads
-        if heads is not None:
-            key_hi = key >> self._cbits
-            p = heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
-            cache_key = self._cache_key
-            chain_next = self._chain_next
-            probes = 0
-            while p != inv and probes < PROBE_LIMIT:
-                if cache_key[p] == key_hi:
-                    return p
-                p = chain_next[p]
-                probes += 1
-            if p == inv:
-                return inv
-        if self.root == inv or not 0 <= key < self._key_limit:
+        key_hi = key >> self._cbits
+        p = self._heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
+        cache_key = self._cache_key
+        chain_next = self._chain_next
+        probes = 0
+        while p != inv and probes < PROBE_LIMIT:
+            if cache_key[p] == key_hi:
+                return p
+            p = chain_next[p]
+            probes += 1
+        if p == inv or not 0 <= key < self._key_limit:
             return inv
         node, depth, _ = self._descend(key)
         return node if depth == self._lastdepth else inv
@@ -612,8 +615,7 @@ class Glass:
             children = self._children
             c_bits = self._cbits
             n_mask = self._nmask
-            if self.table is not None:
-                self.table.remove(preleaf)
+            self.table.remove(preleaf)
             freed = [preleaf]
             node = preleaf
             offset = 0
@@ -672,10 +674,9 @@ class Glass:
                 self._last = self._max_from(parent, self._lastdepth - offset // c_bits,
                                             key & ~((1 << (offset + c_bits)) - 1))
 
-    def split_off(self, key: int, above: bool) -> list[tuple[int, object]]:
+    def split_off(self, key: int, above: bool) -> int:
         """Remove every element at or above ``key`` (``above``), or at or
-        below it, and return the removed (key, value) pairs in no set
-        order.
+        below it, and return how many were removed.
 
         One walk up ``key``'s path from its deepest node: the cut
         pre-leaf loses its slots from ``key`` on, each subtree wholly
@@ -688,18 +689,18 @@ class Glass:
         comparison with every stored key would.
         """
         if self.size == 0:
-            return []
+            return 0
         # out-of-range keys answer as comparisons do: nothing lies at or
         # above a key past the top, and a negative key cuts what 0 cuts;
         # the mirror image for a cut below
         if above:
             if key >= self._key_limit:
-                return []
+                return 0
             if key < 0:
                 key = 0
         else:
             if key < 0:
-                return []
+                return 0
             if key >= self._key_limit:
                 key = self._key_limit - 1
         inv = self._invalid
@@ -710,9 +711,10 @@ class Glass:
         c_bits = self._cbits
         last = self._lastdepth
         table = self.table
-        items = []
+        blank_row = [None] * fanout
+        removed = 0
         freed = []
-        # (node, depth, key prefix) of each subtree removed whole
+        # (node, depth) of each subtree removed whole
         stack = []
         node, depth, offset = self._descend(key)
         parent_arr = self._parent
@@ -724,21 +726,19 @@ class Glass:
             row = node * fanout
             if depth == last:
                 cut = m & (-1 << c) if above else m & ((2 << c) - 1)
+                removed += cut.bit_count()
                 rest = cut
                 while rest:
                     low = rest & -rest
-                    b = low.bit_length() - 1
-                    items.append((key - c + b, values[row + b]))
-                    values[row + b] = None
+                    values[row + low.bit_length() - 1] = None
                     rest ^= low
             else:
                 cut = m & (-2 << c) if above else m & ((1 << c) - 1)
-                prefix = (key >> (offset + c_bits)) << (offset + c_bits)
                 rest = cut
                 while rest:
                     low = rest & -rest
                     b = low.bit_length() - 1
-                    stack.append((children[row + b], depth + 1, prefix | (b << offset)))
+                    stack.append((children[row + b], depth + 1))
                     children[row + b] = inv
                     rest ^= low
                 if emptied:
@@ -749,7 +749,7 @@ class Glass:
             emptied = not m
             if emptied:
                 freed.append(node)
-                if depth == last and table is not None:
+                if depth == last:
                     table.remove(node)
             if depth == 0:
                 if emptied:
@@ -759,31 +759,26 @@ class Glass:
             depth -= 1
             offset += c_bits
         while stack:
-            node, depth, prefix = stack.pop()
+            node, depth = stack.pop()
             freed.append(node)
             m = mask[node]
             row = node * fanout
             if depth == last:
-                if table is not None:
-                    table.remove(node)
-                while m:
-                    low = m & -m
-                    b = low.bit_length() - 1
-                    items.append((prefix | b, values[row + b]))
-                    values[row + b] = None
-                    m ^= low
+                table.remove(node)
+                removed += m.bit_count()
+                # a clear slot already holds None
+                values[row:row + fanout] = blank_row
             else:
-                offset = c_bits * (last - depth)
                 while m:
                     low = m & -m
                     b = low.bit_length() - 1
-                    stack.append((children[row + b], depth + 1, prefix | (b << offset)))
+                    stack.append((children[row + b], depth + 1))
                     children[row + b] = inv
                     m ^= low
-        if not items:
-            return items
+        if not removed:
+            return 0
         self.pool.deallocate_many(freed)
-        self.size -= len(items)
+        self.size -= removed
         # the cached path now ends at its first freed node: a freed node's
         # mask reads 0, a live one's never does, and every node below a
         # freed one was freed too
@@ -799,7 +794,7 @@ class Glass:
             self._last = self._max_from(self.root, 0, 0)
         else:
             self._first = self._min_from(self.root, 0, 0)
-        return items
+        return removed
 
     def min(self) -> Iterator | None:
         return self._first
@@ -927,17 +922,11 @@ class Glass:
     # -- compressed iterators -----------------------------------------
 
     def compress(self, it: Iterator) -> CompressedIterator:
-        """Drop all key bits the pre-leaf can reconstruct; requires the
-        cache table (it maintains the stored prefixes)."""
-        if self.table is None:
-            raise ConfigError("compressed iterators require the cache table")
-        if self._cbits > 8:
-            raise ConfigError("compressed iterators require chunk_bits <= 8")
+        """Drop all key bits the pre-leaf can reconstruct from the key
+        prefix the cache table stores in it."""
         return CompressedIterator(it.preleaf, it.key & self._nmask)
 
     def decompress(self, cit: CompressedIterator) -> Iterator:
-        if self.table is None:
-            raise ConfigError("compressed iterators require the cache table")
         prefix = self._cache_key[cit.preleaf]
         return _new(Iterator, (cit.preleaf, (prefix << self._cbits) | cit.low_bits))
 
@@ -1059,28 +1048,27 @@ class Glass:
                     raise IntegrityError(f"cached path names a wrong node at depth {i}")
                 offset -= geo.chunk_bits
         # cache table: one entry per live pre-leaf, under its true prefix
-        if self.table is not None:
-            if self.table.count != len(prefixes):
-                raise IntegrityError(
-                    f"table counts {self.table.count} entries for {len(prefixes)} pre-leafs"
-                )
-            if deep:
-                chained = {}
-                for b in range(self.table.bucket_count):
-                    for p in self.table.chain(b):
-                        chained[p] = pool.cache_key[p]
-                if set(chained) != set(prefixes):
-                    raise IntegrityError("table chains do not hold exactly the live pre-leafs")
-                for p, key_hi in chained.items():
-                    if key_hi != prefixes[p]:
-                        raise IntegrityError(f"pre-leaf {p} chained under a wrong prefix")
+        table = self.table
+        if table.count != len(prefixes):
+            raise IntegrityError(
+                f"table counts {table.count} entries for {len(prefixes)} pre-leafs"
+            )
+        if deep:
+            chained = {}
+            for b in range(table.bucket_count):
+                for p in table.chain(b):
+                    chained[p] = pool.cache_key[p]
+            if set(chained) != set(prefixes):
+                raise IntegrityError("table chains do not hold exactly the live pre-leafs")
+            for p, key_hi in chained.items():
+                if key_hi != prefixes[p]:
+                    raise IntegrityError(f"pre-leaf {p} chained under a wrong prefix")
 
 def create(
     key_bits: int,
     chunk_bits: int,
     width: int = 32,
     max_size: int = 0,
-    cache_table: bool = True,
 ) -> Glass:
     """Build a glass with a freshly sized pool.
 
@@ -1100,4 +1088,4 @@ def create(
             f"max_size {max_size} cannot fit {width}-bit handles (at most {limit})"
         )
     pool = Pool(geo, width=width, max_capacity=capacity_bound_for_size(max_size, model))
-    return Glass(geo, pool, max_size, cache_table=cache_table)
+    return Glass(geo, pool, max_size)

@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator as TIterator
 
-from .errors import MalformedEvent
+from .cachetable import CacheTable
+from .errors import ConfigError, MalformedEvent, NegativeAmount
 from .glass import Glass, create
 
 UNIFORM = "uniform"
@@ -297,34 +298,39 @@ def trace_load(path: str) -> list[tuple]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """One way a glass can be built: with or without the cache table."""
+    """One way a glass can be built: with the default cache table
+    (``buckets`` None) or with a table of ``buckets`` buckets."""
 
-    cache_table: bool = True
+    buckets: int | None = None
     key_bits: int = 16
     chunk_bits: int = 4
     width: int = 32
 
     def build(self, max_size: int) -> Glass:
-        return create(
+        g = create(
             key_bits=self.key_bits,
             chunk_bits=self.chunk_bits,
             width=self.width,
             max_size=max_size,
-            cache_table=self.cache_table,
         )
+        if self.buckets is None:
+            return g
+        return Glass(g.geo, g.pool, max_size, table=CacheTable(g.pool, self.buckets))
 
     @property
     def label(self) -> str:
-        return f"ct={'on' if self.cache_table else 'off'}"
+        return f"buckets={'default' if self.buckets is None else self.buckets}"
 
 
 def all_feature_configs(**kw) -> list[FeatureConfig]:
-    """The glass with its cache table on and off.
+    """The glass with its default cache table and with a one-bucket one.
 
-    Table-off is the only deterministic way to reach the descent arm of
-    ``_preleaf_of`` and ``find``'s non-probe path, so both are fuzzed.
+    The default table almost never answers don't-know, so a one-bucket
+    table, whose one chain holds every pre-leaf, is the deterministic
+    way to send lookups through the probe's don't-know into the descent
+    arm of ``_preleaf_of`` and ``find``'s fall-through. Both are fuzzed.
     """
-    return [FeatureConfig(cache_table=ct, **kw) for ct in (True, False)]
+    return [FeatureConfig(buckets=b, **kw) for b in (None, 1)]
 
 
 @dataclass
@@ -428,7 +434,8 @@ class OracleBook:
     side-aware best/next semantics and rank queries."""
 
     def __init__(self, side: str):
-        assert side in ("min", "max")
+        if side not in ("min", "max"):
+            raise ConfigError(f"side must be 'min' or 'max', got {side!r}")
         self.side = side
         self.ref = RefMap()
 
@@ -438,7 +445,8 @@ class OracleBook:
     def adjust(self, price: int, delta: int):
         amount = self.ref.find(price) or 0
         new_amount = amount + delta
-        assert new_amount >= 0
+        if new_amount < 0:
+            raise NegativeAmount(f"level {price} would go to {new_amount}")
         if amount:
             self.ref.erase(price)
         if new_amount:

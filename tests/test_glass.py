@@ -7,10 +7,11 @@ import pytest
 
 from glasstrie import glass as glassmod
 from glasstrie.bitops import TrieGeometry, clz
+from glasstrie.cachetable import DONT_KNOW, PROBE_LIMIT
 from glasstrie.errors import ConfigError, GlassFull, IntegrityError, InvalidArgument
 from glasstrie.glass import Glass, Iterator, create
 from glasstrie.nodepool import CapacityModel, max_size_for_capacity
-from glasstrie.oracle import RefMap, all_feature_configs
+from glasstrie.oracle import FeatureConfig, RefMap, all_feature_configs
 
 
 def small_glass(**kw) -> Glass:
@@ -19,6 +20,25 @@ def small_glass(**kw) -> Glass:
     kw.setdefault("width", 16)
     kw.setdefault("max_size", 4096)
     return create(**kw)
+
+
+def table_glass(default_table: bool, max_size: int = 4096) -> Glass:
+    """``small_glass`` with its default cache table, or with a one-bucket
+    table: every pre-leaf in one chain, so a lookup past the PROBE_LIMIT
+    newest pre-leafs gets a don't-know and goes on to the descent."""
+    if default_table:
+        return small_glass(max_size=max_size)
+    return FeatureConfig(buckets=1, width=16).build(max_size)
+
+
+# Cases parametrized on ``default_table`` once ran with the cache table on
+# (True) and off (False). The table is now always on, and the False case
+# runs the one-bucket table of ``table_glass``, which reaches the descent
+# through the probe's don't-know; the cases keep the ids they had. For
+# the same reason a feature config's case id is still "ct=on" for the
+# default table and "ct=off" for the one-bucket one.
+def cfg_id(cfg: FeatureConfig) -> str:
+    return "ct=on" if cfg.buckets is None else "ct=off"
 
 
 # Edges are kept eagerly and the pool is trash-encoded, the one build. The
@@ -117,9 +137,9 @@ class TestOutOfRangeKeys:
     #: invented key
     OUTSIDE = (-65531, -3796, -1, 1 << 16, 786437)
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_reads_and_erase_match_reference(self, cache_table):
-        g = create(16, 4, width=16, max_size=256, cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_reads_and_erase_match_reference(self, default_table):
+        g = table_glass(default_table, max_size=256)
         ref = RefMap()
         for k in self.OUTSIDE:
             assert (g.next(k), g.prev(k)) == (None, None)
@@ -208,9 +228,9 @@ class TestIntegrityChecks:
 
 
 class TestLocateSetValue:
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_present_and_absent_keys(self, cache_table):
-        g = small_glass(cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_present_and_absent_keys(self, default_table):
+        g = table_glass(default_table)
         assert g.locate(0x123) is None  # empty glass
         for k in (0x123, 0x125, 0x800):
             g.insert(k, k)
@@ -233,9 +253,9 @@ class TestCachedPathLookup:
         it = g.locate(key)
         return None if it is None else (it.key, g.value_at(it))
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_lookups_match_reference(self, cache_table):
-        g = small_glass(cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_lookups_match_reference(self, default_table):
+        g = table_glass(default_table)
         ref = RefMap()
         for k in (0x1230, 0x1234, 0x1237, 0x8000, 0x1235):
             g.insert(k, k * 10)
@@ -258,9 +278,9 @@ class TestCachedPathLookup:
         assert not set(descents) & set(same_preleaf)
         g.check_integrity()
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_off_after_last_keys_preleaf_is_freed(self, cache_table):
-        g = small_glass(cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_off_after_last_keys_preleaf_is_freed(self, default_table):
+        g = table_glass(default_table)
         ref = RefMap()
         for k in (0x8001, 0x1230, 0x1235):
             g.insert(k, k)
@@ -281,12 +301,12 @@ class TestCachedPathLookup:
         assert self.located(g, 0x1236) == (0x1236, 2)
         g.check_integrity()
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_off_after_an_insert_stopped_above_the_preleaf(self, cache_table):
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_off_after_an_insert_stopped_above_the_preleaf(self, default_table):
         # a full glass refuses 0x9235 after descending only to the root:
         # last_key moves there, but rho's pre-leaf entry still names
         # 0x1235's pre-leaf, whose slot 5 is set
-        g = small_glass(cache_table=cache_table, max_size=2)
+        g = table_glass(default_table, max_size=2)
         g.insert(0x1235, 1)
         g.insert(0x1236, 2)
         with pytest.raises(GlassFull):
@@ -298,11 +318,11 @@ class TestCachedPathLookup:
         assert g.keys() == [0x1235, 0x1236]
         g.check_integrity()
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_erase_at_matches_erase(self, cache_table):
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_erase_at_matches_erase(self, default_table):
         rng = random.Random(8)
-        by_key = small_glass(cache_table=cache_table)
-        by_it = small_glass(cache_table=cache_table)
+        by_key = table_glass(default_table)
+        by_it = table_glass(default_table)
         keys = rng.sample(range(1 << 16), 150) + list(range(0x4000, 0x4040))
         for k in keys:
             by_key.insert(k, k)
@@ -321,13 +341,21 @@ class TestCachedPathLookup:
         by_it.check_integrity()
 
 
-def ref_split(ref: RefMap, key: int, above: bool) -> list[tuple[int, int]]:
-    """What ``split_off`` must remove from ``ref``; removes it there too."""
+def ref_split(ref: RefMap, key: int, above: bool) -> list[int]:
+    """The keys ``split_off`` must remove from ``ref``; removes them
+    there too."""
     cut = [k for k in ref.keys() if (k >= key if above else k <= key)]
-    out = [(k, ref.find(k)) for k in cut]
     for k in cut:
         ref.erase(k)
-    return out
+    return cut
+
+
+def items(g: Glass) -> list[tuple[int, object]]:
+    return g.first_items(len(g))
+
+
+def ref_items(ref: RefMap) -> list[tuple[int, object]]:
+    return [(k, ref.find(k)) for k in ref.keys()]
 
 
 def assert_free_nodes_blank(g: Glass):
@@ -354,9 +382,8 @@ class TestSplitOff:
             g.insert(k, k * 10)
             ref.insert(k, k * 10)
         live = g.pool.live_count
-        got = g.split_off(0x1236, above)
-        assert sorted(got) == ref_split(ref, 0x1236, above)
-        assert g.keys() == ref.keys()
+        assert g.split_off(0x1236, above) == len(ref_split(ref, 0x1236, above))
+        assert items(g) == ref_items(ref)
         assert g.find(0x1235) == ref.find(0x1235)
         # the cut pre-leaf keeps slots on the other side, so it stays
         assert g.locate(0x1233 if above else 0x1237) is not None
@@ -372,30 +399,28 @@ class TestSplitOff:
             g.insert(k, k)
         g.insert(0x1235, 0)  # present: only repoints the cached path
         assert g.last_key == 0x1235 and g.path_len == g._levels
-        got = g.split_off(0x1235, above)
-        assert sorted(got) == ([(0x1235, 0x1235), (0x123A, 0x123A)] if above
-                               else [(0x1230, 0x1230), (0x1235, 0x1235)])
+        assert g.split_off(0x1235, above) == 2
+        assert items(g) == ([(0x1230, 0x1230)] if above else [(0x123A, 0x123A)])
         assert g.path_len == g._levels
         assert g.locate(0x1235) is None
         assert g.find(0x123A if not above else 0x1230) is not None
         g.check_integrity(deep=True)
 
-    @pytest.mark.parametrize("cache_table", [True, False], ids=lambda ct: f"{ct}-eager")
-    def test_cut_that_empties_the_glass(self, cache_table):
-        g = small_glass(cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False], ids=lambda default_table: f"{default_table}-eager")
+    def test_cut_that_empties_the_glass(self, default_table):
+        g = table_glass(default_table)
         keys = [0x0001, 0x1230, 0x1235, 0x8000, 0xFFFF]
         for k in keys:
             g.insert(k, k)
-        got = g.split_off(0x0001, True)
-        assert sorted(got) == [(k, k) for k in keys]
+        assert g.split_off(0x0001, True) == len(keys)
         assert g.root == g.pool.invalid and g.path_len == 0 and len(g) == 0
         assert g._first is None and g._last is None
         assert g.min() is None and g.max() is None
         assert g.pool.live_count == 0
-        assert g.table is None or g.table.count == 0
+        assert g.table.count == 0
         g.check_integrity(deep=True)
         assert_free_nodes_blank(g)
-        assert g.split_off(0x1000, True) == []
+        assert g.split_off(0x1000, True) == 0
         # reused nodes must arrive blank
         for k in (0x1231, 0x8001):
             g.insert(k, -k)
@@ -415,16 +440,16 @@ class TestSplitOff:
             g.insert(k, k + 1)
             ref.insert(k, k + 1)
         got = g.split_off(key, above)
-        assert sorted(got) == ref_split(ref, key, above)
+        assert got == len(ref_split(ref, key, above))
         if not 0 <= key < self.LIMIT:
             # out of range, a cut takes everything or nothing
-            assert len(got) in (0, len(keys))
-        assert g.keys() == ref.keys()
+            assert got in (0, len(keys))
+        assert items(g) == ref_items(ref)
         g.check_integrity(deep=True)
 
     @staticmethod
     def cube_id(cfg):
-        return f"{cfg.label},edge=eager,trash=on"
+        return f"{cfg_id(cfg)},edge=eager,trash=on"
 
     @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cube_id.__func__)
     def test_matches_reference_over_feature_cube(self, cfg):
@@ -435,7 +460,7 @@ class TestSplitOff:
         splits = 0
 
         def check():
-            assert g.keys() == ref.keys()
+            assert items(g) == ref_items(ref)
             lo, hi = g.min(), g.max()
             assert (lo and lo.key, hi and hi.key) == (ref.min(), ref.max())
             g.check_integrity(deep=True)
@@ -470,11 +495,11 @@ class TestSplitOff:
                     i = rng.randrange(min(4, len(keys)))
                     key = keys[i] if rng.random() < 0.5 else keys[-1 - i]
                 above = rng.random() < 0.5
-                got = g.split_off(key, above)
-                assert sorted(got) == ref_split(ref, key, above)
+                cut = ref_split(ref, key, above)
+                assert g.split_off(key, above) == len(cut)
                 assert len(g) == len(ref)
                 splits += 1
-                for k, _ in got[:3]:
+                for k in cut[:3]:
                     assert g.find(k) is None and g.locate(k) is None
             check()
         assert_free_nodes_blank(g)
@@ -485,7 +510,7 @@ def twin_state(g: Glass):
     """Everything a run of single inserts and ``insert_sorted`` must
     leave equal: trie, free list, cached path, edges and table chains."""
     table = g.table
-    chains = None if table is None else [table.chain(b) for b in range(table.bucket_count)]
+    chains = [table.chain(b) for b in range(table.bucket_count)]
     return (g.dump(), g.pool.free_list_slots(), g.pool.live_count, g.pool.capacity,
             g.size, g.root, g.last_key, g.path_len, g.rho[:g.path_len],
             g.min(), g.max(), chains)
@@ -528,7 +553,7 @@ class TestInsertSorted:
         "new maximum and minimum descending": (STORED[:-1], [0xFFFF, 0x9000, 0x0050, 0x0000]),
     }
 
-    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cfg_id)
     @pytest.mark.parametrize("case", sorted(RUNS))
     def test_end_state_equals_single_inserts(self, cfg, case):
         stored, run = self.RUNS[case]
@@ -541,16 +566,16 @@ class TestInsertSorted:
             assert bulk.find(k) == (k if k in stored else "v")
         bulk.check_integrity(deep=True)
 
-    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cfg_id)
     def test_empty_run_touches_nothing(self, cfg):
         g, _ = self.twins(cfg, self.STORED)
         before = twin_state(g)
         assert g.insert_sorted([], "v") == 0
         assert twin_state(g) == before
 
-    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cfg_id)
     def test_matches_reference_over_feature_cube(self, cfg):
-        rng = random.Random(f"insert-sorted-{cfg.label}")
+        rng = random.Random(f"insert-sorted-{cfg_id(cfg)}")
         g = cfg.build(max_size=300)
         ref = RefMap()
         limit = self.LIMIT
@@ -585,8 +610,8 @@ class TestInsertSorted:
             else:
                 key = rng.choice(keys) if keys and rng.random() < 0.5 else rng.randrange(limit)
                 above = rng.random() < 0.5
-                assert sorted(g.split_off(key, above)) == ref_split(ref, key, above)
-            assert g.keys() == ref.keys()
+                assert g.split_off(key, above) == len(ref_split(ref, key, above))
+            assert items(g) == ref_items(ref)
             assert [g.find(k) for k in ref.keys()] == [ref.find(k) for k in ref.keys()]
             lo, hi = g.min(), g.max()
             assert (lo and lo.key, hi and hi.key) == (ref.min(), ref.max())
@@ -607,7 +632,7 @@ class TestInsertSorted:
         "rise mid-descent": (InvalidArgument, [0x0303, 0x0301, 0x0302, 0x0300], "v"),
     }
 
-    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=lambda cfg: cfg.label)
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cfg_id)
     @pytest.mark.parametrize("case", sorted(ERRORS))
     def test_error_changes_nothing(self, cfg, case):
         error, run, value = self.ERRORS[case]
@@ -678,8 +703,12 @@ class TestWorkedExamples:
     # k == 3
     @pytest.mark.parametrize("k, second", [(0, 0x1235), (1, 0x1245), (2, 0x1345), (3, 0x2345)])
     def test_erasing_last_key_drops_one_path_entry_per_freed_node(self, k, second):
-        g = small_glass()
+        g = table_glass(False)
         g.insert(0x1230, "a")
+        # five pre-leafs under other root children, chained ahead of
+        # 0x1230's in the one bucket: its probe answers don't-know
+        for top in range(0x8, 0xD):
+            g.insert(top << 12, "filler")
         g.insert(second, "b")
         live, path = g.pool.live_count, list(g.rho)
         g.erase(second)
@@ -687,9 +716,8 @@ class TestWorkedExamples:
         assert g.path_len == g._levels - k
         assert g.rho[:g.path_len] == path[:g.path_len]
         g.check_integrity()
-        # with no table probe, 0x1230 is found from what the path kept:
+        # past the don't-know, 0x1230 is found from what the path kept:
         # its own pre-leaf, or a descent from the deepest entry left
-        g._heads = None
         starts = []
         descend = g._descend
         g._descend = lambda key: starts.append(g._jump(key)[0]) or descend(key)
@@ -743,13 +771,13 @@ class TestEdgeCache:
         assert (g.value_at(g.min()), g.value_at(g.max())) == (0x30 * 10, 0x34 * 10)
         g.check_integrity()
 
-    @pytest.mark.parametrize("cache_table", [True, False])
-    def test_edge_repair_after_freeing_a_long_chain(self, cache_table):
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_edge_repair_after_freeing_a_long_chain(self, default_table):
         # sparse keys: almost every edge erase frees its pre-leaf and
         # parents above it, and the new edge comes from where the walk
         # stopped
         rng = random.Random(12)
-        g = small_glass(cache_table=cache_table)
+        g = table_glass(default_table)
         ref = RefMap()
         for k in rng.sample(range(1 << 16), 40) + [0x0001, 0x0002, 0xFFFE]:
             g.insert(k, k + 1)
@@ -792,7 +820,7 @@ class TestEdgeCache:
 
 class TestCacheTableIntegration:
     def test_hit_avoids_descent(self):
-        g = small_glass(cache_table=True)
+        g = small_glass()
         for k in range(64, 96):
             g.insert(k, k)
 
@@ -804,9 +832,11 @@ class TestCacheTableIntegration:
             assert g.find(k) == k
 
     def test_results_identical_without_table(self):
+        # the id is older than the always-on table: the default table
+        # against the one-bucket one, whose lookups mostly descend
         rng = random.Random(12)
-        a = small_glass(cache_table=True)
-        b = small_glass(cache_table=False)
+        a = table_glass(True)
+        b = table_glass(False)
         for _ in range(3000):
             k = rng.randrange(1 << 16)
             r = rng.random()
@@ -824,6 +854,110 @@ class TestCacheTableIntegration:
         g.erase(0x37)
         g.check_integrity()
         assert g.table.count == 0
+
+
+class TestDontKnowRoute:
+    """On a one-bucket glass every pre-leaf sits in one chain, newest
+    first: a probe gives up after the PROBE_LIMIT newest with a
+    don't-know, and ``find``, ``locate`` and ``erase`` go on to the
+    descent."""
+
+    #: one key in each of eight pre-leafs under distinct root children,
+    #: inserted in this order; the first three end up past the probe
+    KEYS = [(top << 12) | 0x5 for top in range(1, 9)]
+    DEEP = KEYS[:len(KEYS) - PROBE_LIMIT]
+    NEWEST = KEYS[len(KEYS) - PROBE_LIMIT:]
+
+    def glass(self):
+        g = table_glass(False)
+        for k in self.KEYS:
+            g.insert(k, k * 10)
+        assert g.table.bucket_count == 1 and g.table.count == len(self.KEYS)
+        return g
+
+    @staticmethod
+    def watch(g) -> list[int]:
+        """The keys ``g`` descends for, from now on."""
+        descents = []
+        descend = g._descend
+        g._descend = lambda key: descents.append(key) or descend(key)
+        return descents
+
+    @staticmethod
+    def no_descent(g):
+        def refuse(key):
+            raise AssertionError(f"{key:#x} descended")
+        g._descend = refuse
+
+    def test_key_past_the_probe_limit_descends(self):
+        g = self.glass()
+        c_bits = g.geo.chunk_bits
+        descents = self.watch(g)
+        # erasing oldest first leaves each next key past the limit still
+        for k in self.DEEP:
+            assert g.table.lookup(k >> c_bits) == DONT_KNOW
+            assert g.find(k) == k * 10 and descents == [k]
+            it = g.locate(k)
+            assert it is not None and g.value_at(it) == k * 10 and descents == [k, k]
+            assert g.erase(k) and descents == [k, k, k]
+            descents.clear()
+        assert g.keys() == self.NEWEST
+        g.check_integrity(deep=True)
+
+    def test_newest_preleafs_answer_without_descent(self):
+        g = self.glass()
+        self.no_descent(g)
+        for k in self.NEWEST:
+            assert g.find(k) == k * 10
+            it = g.locate(k)
+            assert it is not None and g.value_at(it) == k * 10
+            # an absent slot of a chained pre-leaf: a hit, then a clear bit
+            assert g.find(k + 1) is None and g.locate(k + 1) is None
+        # newest first, each erase finds its pre-leaf at the chain's head
+        for k in reversed(self.NEWEST):
+            assert g.erase(k)
+        assert g.keys() == self.DEEP
+        g.check_integrity(deep=True)
+
+    def test_absent_key_behind_a_long_chain_descends(self):
+        g = self.glass()
+        descents = self.watch(g)
+        # no pre-leaf, and a clear slot of a pre-leaf past the limit
+        for k in (0x9005, 0x0005, self.DEEP[0] + 1):
+            assert g.find(k) is None and descents == [k]
+            assert g.locate(k) is None and descents == [k, k]
+            assert g.erase(k) is False and descents == [k, k, k]
+            descents.clear()
+        # out of range: the don't-know ends at the range check
+        for k in (-1, 1 << 16, (1 << 16) + self.DEEP[0]):
+            assert g.find(k) is None and g.locate(k) is None and g.erase(k) is False
+        assert descents == []
+        assert g.keys() == self.KEYS
+        g.check_integrity(deep=True)
+
+    def test_erases_unlinking_from_mid_chain(self):
+        g = self.glass()
+        preleaf = {k: g.locate(k).preleaf for k in self.KEYS}
+        chain = g.table.chain(0)
+        assert chain == [preleaf[k] for k in reversed(self.KEYS)]
+        left = list(self.KEYS)
+        for k in (self.KEYS[4], self.KEYS[1], self.KEYS[6]):
+            assert g.erase(k)
+            left.remove(k)
+            g.check_integrity(deep=True)
+            assert g.table.chain(0) == [preleaf[k] for k in reversed(left)]
+        assert [g.find(k) for k in left] == [k * 10 for k in left]
+
+    def test_table_over_another_pool_refused(self):
+        g = small_glass()
+        with pytest.raises(ConfigError):
+            Glass(g.geo, g.pool, g.max_size, table=small_glass().table)
+
+    def test_table_holding_entries_refused(self):
+        g = small_glass()
+        g.insert(0x1235, 1)
+        with pytest.raises(ConfigError):
+            Glass(g.geo, g.pool, g.max_size, table=g.table)
 
 
 class TestCompressedIterators:
@@ -845,12 +979,6 @@ class TestCompressedIterators:
             it = g.iter_next(it)
         assert len(visited) == len(g) == size
         assert visited == sorted(keys)
-
-    def test_requires_cache_table(self):
-        g = small_glass(cache_table=False)
-        g.insert(3, 3)
-        with pytest.raises(ConfigError):
-            g.compress(g.min())
 
     def test_survives_unrelated_inserts(self):
         g = small_glass()
@@ -912,9 +1040,9 @@ class TestStructure:
 
 
 class TestAllocationRoute:
-    @pytest.mark.parametrize("cache_table", [True, False], ids=lambda ct: f"True-{ct}")
-    def test_every_node_comes_through_allocate_many(self, cache_table):
-        g = small_glass(max_size=64, cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False], ids=lambda default_table: f"True-{default_table}")
+    def test_every_node_comes_through_allocate_many(self, default_table):
+        g = table_glass(default_table, max_size=64)
         pool = g.pool
         counted = 0
         allocate_many, deallocate_many = pool.allocate_many, pool.deallocate_many
@@ -1025,10 +1153,10 @@ class TestLazyPool:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("cache_table", [True, False], ids=lambda ct: f"eager-{ct}")
-    def test_random_ops_match_sorted_dict(self, cache_table):
-        rng = random.Random(f"oracle-{cache_table}")
-        g = small_glass(cache_table=cache_table)
+    @pytest.mark.parametrize("default_table", [True, False], ids=lambda default_table: f"eager-{default_table}")
+    def test_random_ops_match_sorted_dict(self, default_table):
+        rng = random.Random(f"oracle-{default_table}")
+        g = table_glass(default_table)
         ref: dict[int, int] = {}
         order: list[int] = []
         for step in range(20_000):

@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from glasstrie.cachetable import DONT_KNOW
 from glasstrie.errors import MalformedEvent
 from glasstrie.oracle import (
     LOCAL,
@@ -166,6 +167,29 @@ class TestFuzzRun:
     def test_ref_apply_rejects_unknown(self):
         with pytest.raises(MalformedEvent):
             ref_apply(RefMap(), ("Z", 1))
+
+    def test_one_bucket_config_answers_dont_know(self):
+        # a shadow CacheTable.lookup before each find and erase, as the
+        # glass probes inline: over this LOCAL trace the default table
+        # never answers don't-know, the one-bucket one often does
+        trace = gen_trace(6, LOCAL, 20_000)
+        dont_knows = {}
+        for config in all_feature_configs():
+            g = config.build(2 * trace.size_cap)
+            answers = []
+
+            def shadow(fn):
+                def call(key):
+                    answers.append(g.table.lookup(key >> config.chunk_bits))
+                    return fn(key)
+                return call
+
+            g.find = shadow(g.find)
+            g.erase = shadow(g.erase)
+            assert fuzz_run(config, trace, structure=g) is None
+            dont_knows[config.buckets] = answers.count(DONT_KNOW)
+        assert dont_knows[None] == 0
+        assert dont_knows[1] > 1000
 
     def test_deterministic_given_config_and_trace(self):
         trace = gen_trace(17, LOCAL, 3000)

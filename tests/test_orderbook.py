@@ -559,3 +559,29 @@ class TestOracleFuzz:
         assert ob.iterate_best(2) == [(3, 1), (5, 2)]
         ob.adjust(3, -1)
         assert ob.best() == 5
+
+    def test_oracle_book_checks_survive_optimize(self, run_optimized):
+        # asserts vanish under python -O; the oracle's checks must not
+        code = (
+            "from glasstrie.errors import ConfigError, NegativeAmount\n"
+            "from glasstrie.oracle import OracleBook\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "try:\n"
+            "    OracleBook('bid')\n"
+            "except ConfigError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('side accepted')\n"
+            "ob = OracleBook('max')\n"
+            "ob.adjust(7, 3)\n"
+            "try:\n"
+            "    ob.adjust(7, -4)\n"
+            "except NegativeAmount:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('negative amount accepted')\n"
+            "if ob.find(7) != 3 or ob.best() != 7:\n"
+            "    raise SystemExit(f'level 7 holds {ob.find(7)}')\n"
+        )
+        run_optimized(code)
