@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgument
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -85,9 +85,11 @@ class DivisionPlan:
 def clz(x: int, width: int = WORD_BITS) -> int:
     """Count leading zero bits of ``x`` within ``width`` bits.
 
-    Returns ``width`` when ``x`` is zero.
+    Returns ``width`` when ``x`` is zero; raises InvalidArgument for an
+    ``x`` outside ``[0, 2**width)``.
     """
-    assert 0 <= x < (1 << width)
+    if not 0 <= x < (1 << width):
+        raise InvalidArgument(f"{x} is outside [0, 2**{width})")
     return width - x.bit_length()
 
 

@@ -12,9 +12,11 @@ The table is sized once, from the pool's cap ``pool.max_capacity``,
 never from the nodes the pool holds now: the bucket count is the largest
 power of two within the cap, so the don't-know rate is the one the
 capacity model assumes however far the pool has grown. A glass never
-grows its table. ``grow`` and ``maybe_grow`` serve a table built with an
-explicit, smaller ``buckets``; ``maybe_grow`` doubles only while the
-doubled array still fits the cap.
+grows its table: it binds the bucket array once and marks the table
+``held``, and ``grow`` on a held table raises ConfigError. ``grow`` and
+``maybe_grow`` serve a standalone table built with an explicit, smaller
+``buckets``; ``maybe_grow`` doubles only while the doubled array still
+fits the cap.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class CacheTable:
         self.heads = _blank_heads(pool, buckets)
         self.count = 0
         self._shift = 64 - buckets.bit_length() + 1
+        # set by the glass that binds ``heads`` and ``_shift``
+        self.held = False
         # instrumentation: footprint of the most recent operation
         self.last_link_writes = 0
         self.last_probes = 0
@@ -137,8 +141,12 @@ class CacheTable:
         """Double the bucket array, keeping within-chain relative order.
 
         Every element is moved to the head of its new chain (which
-        reverses chains), then each new chain is reversed back.
+        reverses chains), then each new chain is reversed back. Raises
+        ConfigError on a table a glass holds, whose bound bucket array
+        would go stale.
         """
+        if self.held:
+            raise ConfigError("a glass holds this table; it cannot grow")
         pool = self.pool
         inv = pool.invalid
         old_heads = self.heads

@@ -13,21 +13,23 @@ stepping, with three accelerators that never change observable results:
 Keys are consumed in chunk_bits slices from the most significant end;
 nodes on the last level ("pre-leafs") hold one mask bit and one value
 slot per possible final chunk, so the conceptual leaf level is never
-materialized. An iterator is just (pre-leaf handle, full key). The
-glass builds its iterators with ``tuple.__new__(Iterator, ...)``, which
-skips the NamedTuple's Python-level ``__new__`` (best of 21 interleaved
-rounds on a shared 2-CPU Xeon, CPython 3.11.7: 381 ns through the
-constructor, 192 ns through ``tuple.__new__``); the type and its
-constructor are unchanged for callers.
+materialized. Every node has one row of fanout slots in the pool: an
+inner node's hold child handles, a pre-leaf's hold values, and a clear
+slot holds None in either. An iterator is just (pre-leaf handle, full
+key). The glass builds its iterators with
+``tuple.__new__(Iterator, ...)``, which skips the NamedTuple's
+Python-level ``__new__`` (best of 21 interleaved rounds on a shared
+2-CPU Xeon, CPython 3.11.7: 381 ns through the constructor, 192 ns
+through ``tuple.__new__``); the type and its constructor are unchanged
+for callers.
 
 ``locate`` and ``erase`` resolve a key's pre-leaf through
 ``_preleaf_of``: first the pre-leaf that ends a whole cached path, when
 the key differs from ``last_key`` only in its last chunk (no probe);
 then the cache table; on a don't-know, the descent.
 On perfbench's book-feed 73% of these lookups end at the first step,
-on map-uniform under 0.1%.
-``erase_at`` removes the element at an iterator with no lookup at all;
-it and ``erase`` share one private body.
+on map-uniform under 0.1%. Every erase goes by key: nothing removes an
+element through an iterator, which could be stale.
 ``split_off(key, above)`` removes one whole side of a key in one cut:
 a walk up the key's path detaches every subtree beyond it, trims the
 cut pre-leaf, frees all the nodes in one ``Pool.deallocate_many`` call
@@ -153,11 +155,12 @@ class Glass:
         self._prefix_base = geo.bias - (WORD_BITS - geo.key_bits)
         self._invalid = pool.invalid
         self._mask = pool.mask
-        self._children = pool.children
-        self._values = pool.values
+        self._slots = pool.slots
         self._parent = pool.parent
         self._cache_key = pool.cache_key
         self._chain_next = pool.chain_next
+        # bound once: the table refuses to grow under a glass
+        table.held = True
         self._heads = table.heads
         self._tshift = table._shift
 
@@ -187,7 +190,7 @@ class Glass:
         c_bits = self._cbits
         n_mask = self._nmask
         mask = self._mask
-        children = self._children
+        slots = self._slots
         fanout = self._fanout
         last = self._lastdepth
         offset = c_bits * (last - depth)
@@ -195,7 +198,7 @@ class Glass:
             c = (key >> offset) & n_mask
             if not (mask[node] >> c) & 1:
                 break
-            node = children[node * fanout + c]
+            node = slots[node * fanout + c]
             offset -= c_bits
             depth += 1
         return node, depth, offset
@@ -227,14 +230,14 @@ class Glass:
         prefix = (key & ~((1 << (offset + c_bits)) - 1)) | (branch << offset)
         if depth == self._lastdepth:
             return _new(Iterator, (node, prefix))
-        child = self._children[node * self._fanout + branch]
+        child = self._slots[node * self._fanout + branch]
         if forward:
             return self._min_from(child, depth + 1, prefix)
         return self._max_from(child, depth + 1, prefix)
 
     def _min_from(self, node: int, depth: int, key_prefix: int) -> Iterator:
         mask = self._mask
-        children = self._children
+        slots = self._slots
         fanout = self._fanout
         c_bits = self._cbits
         offset = c_bits * (self._lastdepth - depth)
@@ -242,7 +245,7 @@ class Glass:
             m = mask[node]
             c = (m & -m).bit_length() - 1
             key_prefix |= c << offset
-            node = children[node * fanout + c]
+            node = slots[node * fanout + c]
             offset -= c_bits
             depth += 1
         m = mask[node]
@@ -251,14 +254,14 @@ class Glass:
 
     def _max_from(self, node: int, depth: int, key_prefix: int) -> Iterator:
         mask = self._mask
-        children = self._children
+        slots = self._slots
         fanout = self._fanout
         c_bits = self._cbits
         offset = c_bits * (self._lastdepth - depth)
         while depth < self._lastdepth:
             c = mask[node].bit_length() - 1
             key_prefix |= c << offset
-            node = children[node * fanout + c]
+            node = slots[node * fanout + c]
             offset -= c_bits
             depth += 1
         key_prefix |= mask[node].bit_length() - 1
@@ -286,7 +289,7 @@ class Glass:
         last = self._lastdepth
         rho = self.rho
         mask = self._mask
-        children = self._children
+        slots = self._slots
 
         if self.root == inv:
             # an empty glass: the descent stops above the root
@@ -301,7 +304,7 @@ class Glass:
                 c = (key >> offset) & n_mask
                 if not (mask[node] >> c) & 1:
                     break
-                node = children[node * fanout + c]
+                node = slots[node * fanout + c]
                 offset -= c_bits
                 depth += 1
                 rho[depth] = node
@@ -317,7 +320,7 @@ class Glass:
                 if self.size >= self.max_size:
                     raise GlassFull(f"glass is at its maximum size {self.max_size}")
                 mask[node] |= 1 << c
-                self._values[node * fanout + c] = value
+                slots[node * fanout + c] = value
                 self.size += 1
                 if key < self._first[1]:
                     self._first = _new(Iterator, (node, key))
@@ -360,7 +363,7 @@ class Glass:
         c_bits = self._cbits
         rho = self.rho
         mask = self._mask
-        children = self._children
+        slots = self._slots
         parent_arr = self._parent
         nodes = self.pool.allocate_many(self._lastdepth - depth)
         parent = nodes[0]
@@ -370,7 +373,7 @@ class Glass:
         else:
             c = (key >> offset) & n_mask
             mask[node] |= 1 << c
-            children[node * fanout + c] = parent
+            slots[node * fanout + c] = parent
             parent_arr[parent] = node
         depth += 1
         rho[depth] = parent
@@ -378,14 +381,14 @@ class Glass:
             offset -= c_bits
             c = (key >> offset) & n_mask
             mask[parent] = 1 << c
-            children[parent * fanout + c] = child
+            slots[parent * fanout + c] = child
             parent_arr[child] = parent
             depth += 1
             rho[depth] = child
             parent = child
         c = key & n_mask
         mask[parent] = 1 << c
-        self._values[parent * fanout + c] = value
+        slots[parent * fanout + c] = value
         self.table.insert(key >> c_bits, parent)
         return parent
 
@@ -439,10 +442,9 @@ class Glass:
         levels = self._levels
         rho = self.rho
         mask = self._mask
-        children = self._children
-        values = self._values
+        slots = self._slots
         added = 0
-        # the pre-leaf in hand: its handle, key prefix, value row and the
+        # the pre-leaf in hand: its handle, key prefix, slot row and the
         # mask it will be given; ``start`` is the first key's pre-leaf
         preleaf = start = inv
         prefix = -1
@@ -466,7 +468,7 @@ class Glass:
                         c = (key >> offset) & n_mask
                         if not (mask[node] >> c) & 1:
                             break
-                        node = children[node * fanout + c]
+                        node = slots[node * fanout + c]
                         offset -= c_bits
                         depth += 1
                         rho[depth] = node
@@ -486,7 +488,7 @@ class Glass:
             c = key & n_mask
             if not (m >> c) & 1:
                 m |= 1 << c
-                values[row + c] = value
+                slots[row + c] = value
                 added += 1
         mask[preleaf] = m
         self.size += added
@@ -518,7 +520,7 @@ class Glass:
         probes = 0
         while p != inv and probes < PROBE_LIMIT:
             if cache_key[p] == key_hi:
-                return self._values[p * self._fanout + (key & self._nmask)]
+                return self._slots[p * self._fanout + (key & self._nmask)]
             p = chain_next[p]
             probes += 1
         if p == inv:
@@ -528,7 +530,7 @@ class Glass:
         if preleaf != inv:
             c = key & self._nmask
             if (self._mask[preleaf] >> c) & 1:
-                return self._values[preleaf * self._fanout + c]
+                return self._slots[preleaf * self._fanout + c]
         return None
 
     def _preleaf_of(self, key: int) -> int:
@@ -579,31 +581,20 @@ class Glass:
         cached path by the removed chain's overlap with it, and fixes
         the edge cache.
         """
-        preleaf = self._preleaf_of(key)
-        if preleaf == self._invalid or not (self._mask[preleaf] >> (key & self._nmask)) & 1:
-            return False
-        self._erase_slot(preleaf, key)
-        return True
-
-    def erase_at(self, it: Iterator):
-        """Remove the element at ``it`` with no lookup; otherwise as
-        :meth:`erase`.
-
-        ``it`` must be a valid iterator: handed out by this glass for an
-        element not erased since. Nothing checks that; any other
-        iterator corrupts the glass.
-        """
-        self._erase_slot(it[0], it[1])
-
-    def _erase_slot(self, preleaf: int, key: int):
-        """Clear ``key``'s set slot in ``preleaf`` and repair the rest."""
         inv = self._invalid
-        fanout = self._fanout
+        preleaf = self._preleaf_of(key)
+        if preleaf == inv:
+            return False
         mask = self._mask
         c = key & self._nmask
-        m = mask[preleaf] & ~(1 << c)
+        m = mask[preleaf]
+        if not (m >> c) & 1:
+            return False
+        fanout = self._fanout
+        slots = self._slots
+        m &= ~(1 << c)
         mask[preleaf] = m
-        self._values[preleaf * fanout + c] = None
+        slots[preleaf * fanout + c] = None
         self.size -= 1
 
         # walk up unlinking childless nodes from their parents, then free
@@ -612,7 +603,6 @@ class Glass:
         removed = 0
         if m == 0:
             parent_arr = self._parent
-            children = self._children
             c_bits = self._cbits
             n_mask = self._nmask
             self.table.remove(preleaf)
@@ -628,7 +618,7 @@ class Glass:
                 pc = (key >> offset) & n_mask
                 pm = mask[parent] & ~(1 << pc)
                 mask[parent] = pm
-                children[parent * fanout + pc] = inv
+                slots[parent * fanout + pc] = None
                 if pm:
                     break
                 freed.append(parent)
@@ -656,7 +646,7 @@ class Glass:
         if self.size == 0:
             self._first = None
             self._last = None
-            return
+            return True
         # an erased edge's successor lives in the same pre-leaf when any
         # slot is left there, since every other pre-leaf lies wholly
         # beyond it; otherwise under the node where the unlink walk
@@ -673,6 +663,7 @@ class Glass:
             else:
                 self._last = self._max_from(parent, self._lastdepth - offset // c_bits,
                                             key & ~((1 << (offset + c_bits)) - 1))
+        return True
 
     def split_off(self, key: int, above: bool) -> int:
         """Remove every element at or above ``key`` (``above``), or at or
@@ -681,12 +672,12 @@ class Glass:
         One walk up ``key``'s path from its deepest node: the cut
         pre-leaf loses its slots from ``key`` on, each subtree wholly
         beyond the path is detached and collected, and path nodes left
-        empty are unlinked. Every freed node goes back blank (child
-        slots invalid, values None) in one ``Pool.deallocate_many`` call,
-        and ``size``, the cached path and the edge cache are repaired
-        once. ``key`` may be any int: past either end of
-        ``[0, 2**key_bits)`` it cuts everything or nothing, as a
-        comparison with every stored key would.
+        empty are unlinked. Every freed node goes back blank, every slot
+        None, in one ``Pool.deallocate_many`` call, and ``size``, the
+        cached path and the edge cache are repaired once. ``key`` may be
+        any int: past either end of ``[0, 2**key_bits)`` it cuts
+        everything or nothing, as a comparison with every stored key
+        would.
         """
         if self.size == 0:
             return 0
@@ -705,8 +696,7 @@ class Glass:
                 key = self._key_limit - 1
         inv = self._invalid
         mask = self._mask
-        children = self._children
-        values = self._values
+        slots = self._slots
         fanout = self._fanout
         c_bits = self._cbits
         last = self._lastdepth
@@ -730,7 +720,7 @@ class Glass:
                 rest = cut
                 while rest:
                     low = rest & -rest
-                    values[row + low.bit_length() - 1] = None
+                    slots[row + low.bit_length() - 1] = None
                     rest ^= low
             else:
                 cut = m & (-2 << c) if above else m & ((1 << c) - 1)
@@ -738,12 +728,12 @@ class Glass:
                 while rest:
                     low = rest & -rest
                     b = low.bit_length() - 1
-                    stack.append((children[row + b], depth + 1))
-                    children[row + b] = inv
+                    stack.append((slots[row + b], depth + 1))
+                    slots[row + b] = None
                     rest ^= low
                 if emptied:
                     cut |= 1 << c
-                    children[row + c] = inv
+                    slots[row + c] = None
             m ^= cut
             mask[node] = m
             emptied = not m
@@ -767,13 +757,13 @@ class Glass:
                 table.remove(node)
                 removed += m.bit_count()
                 # a clear slot already holds None
-                values[row:row + fanout] = blank_row
+                slots[row:row + fanout] = blank_row
             else:
                 while m:
                     low = m & -m
                     b = low.bit_length() - 1
-                    stack.append((children[row + b], depth + 1))
-                    children[row + b] = inv
+                    stack.append((slots[row + b], depth + 1))
+                    slots[row + b] = None
                     m ^= low
         if not removed:
             return 0
@@ -837,7 +827,7 @@ class Glass:
         return self._climb(it[0], self._lastdepth, 0, it[1], False)
 
     def value_at(self, it: Iterator):
-        return self._values[it[0] * self._fanout + (it[1] & self._nmask)]
+        return self._slots[it[0] * self._fanout + (it[1] & self._nmask)]
 
     def first_items(self, count: int, descending: bool = False) -> list[tuple[int, int]]:
         """Up to ``count`` (key, value) pairs from the ordered end.
@@ -851,16 +841,15 @@ class Glass:
         start = self._last if descending else self._first
         node, key = start
         mask = self._mask
-        children = self._children
+        slots = self._slots
         parent_arr = self._parent
-        values = self._values
         fanout = self._fanout
         n_mask = self._nmask
         c_bits = self._cbits
         lastdepth = self._lastdepth
         inv = self._invalid
         word_top = _MASK64 - 1
-        out = [(key, values[node * fanout + (key & n_mask)])]
+        out = [(key, slots[node * fanout + (key & n_mask)])]
         while len(out) < count:
             c = key & n_mask
             if descending:
@@ -872,7 +861,7 @@ class Glass:
                     key = key - c + (m.bit_length() - 1)
                 else:
                     key = key - c + ((m & -m).bit_length() - 1)
-                out.append((key, values[node * fanout + (key & n_mask)]))
+                out.append((key, slots[node * fanout + (key & n_mask)]))
                 continue
             # climb until a sibling subtree exists, then roll down its edge
             depth = lastdepth
@@ -897,7 +886,7 @@ class Glass:
             else:
                 branch = (m & -m).bit_length() - 1
             key = (key & ~((1 << (offset + c_bits)) - 1)) | (branch << offset)
-            up = children[up * fanout + branch]
+            up = slots[up * fanout + branch]
             depth += 1
             offset -= c_bits
             while depth < lastdepth:
@@ -907,7 +896,7 @@ class Glass:
                 else:
                     c = (m & -m).bit_length() - 1
                 key |= c << offset
-                up = children[up * fanout + c]
+                up = slots[up * fanout + c]
                 offset -= c_bits
                 depth += 1
             m = mask[up]
@@ -916,7 +905,7 @@ class Glass:
             else:
                 key |= (m & -m).bit_length() - 1
             node = up
-            out.append((key, values[node * fanout + (key & n_mask)]))
+            out.append((key, slots[node * fanout + (key & n_mask)]))
         return out
 
     # -- compressed iterators -----------------------------------------
@@ -955,7 +944,7 @@ class Glass:
             label = prefix if prefix else "root"
             if depth == geo.levels - 1:
                 slots = ",".join(
-                    f"{c}={pool.values[node * geo.fanout + c]!r}"
+                    f"{c}={pool.slots[node * geo.fanout + c]!r}"
                     for c in range(geo.fanout)
                     if (m >> c) & 1
                 )
@@ -966,7 +955,7 @@ class Glass:
             for c in range(geo.fanout):
                 if (m >> c) & 1:
                     walk(
-                        pool.children[node * geo.fanout + c],
+                        pool.slots[node * geo.fanout + c],
                         depth + 1,
                         prefix + format(c, f"0{geo.chunk_bits}b"),
                     )
@@ -988,6 +977,9 @@ class Glass:
         pool = self.pool
         geo = self.geo
         fanout = geo.fanout
+        table = self.table
+        if self._heads is not table.heads or self._tshift != table._shift:
+            raise IntegrityError("the glass's bucket binding differs from its table's")
         if self.root == pool.invalid:
             if self.size != 0:
                 raise IntegrityError(f"a glass with no root holds {self.size} elements")
@@ -1006,29 +998,23 @@ class Glass:
             m = pool.mask[node]
             if m == 0:
                 raise IntegrityError(f"childless interior node {node} at depth {depth}")
-            if depth == geo.levels - 1:
+            preleaf = depth == geo.levels - 1
+            if preleaf:
                 prefixes[node] = prefix
-                for c in range(fanout):
-                    value = pool.values[node * fanout + c]
-                    if (m >> c) & 1:
-                        elements += 1
-                        if value is None:
-                            raise IntegrityError(f"set slot {c} of pre-leaf {node} holds None")
-                    elif value is not None:
-                        raise IntegrityError(f"clear slot {c} of pre-leaf {node} holds {value!r}")
-                continue
+                elements += m.bit_count()
             for c in range(fanout):
-                child = pool.children[node * fanout + c]
-                if (m >> c) & 1:
-                    if child == pool.invalid:
+                slot = pool.slots[node * fanout + c]
+                if not (m >> c) & 1:
+                    if slot is not None:
+                        raise IntegrityError(f"clear slot {c} of node {node} holds {slot!r}")
+                elif slot is None:
+                    raise IntegrityError(f"set slot {c} of node {node} holds None")
+                elif not preleaf:
+                    if not 0 <= slot < pool.capacity:
                         raise IntegrityError(f"set bit {c} of node {node} has no child")
-                    if pool.parent[child] != node:
-                        raise IntegrityError(f"child {child} of node {node} names another parent")
-                    stack.append((child, depth + 1, (prefix << geo.chunk_bits) | c))
-                elif child not in (0, pool.invalid):
-                    raise IntegrityError(
-                        f"stale child handle under clear bit: node {node} slot {c}"
-                    )
+                    if pool.parent[slot] != node:
+                        raise IntegrityError(f"child {slot} of node {node} names another parent")
+                    stack.append((slot, depth + 1, (prefix << geo.chunk_bits) | c))
         if elements != self.size:
             raise IntegrityError(f"{elements} set slots, size says {self.size}")
         if len(seen) != pool.live_count:
@@ -1043,12 +1029,11 @@ class Glass:
                 c = (self.last_key >> offset) & (fanout - 1)
                 if not (pool.mask[node] >> c) & 1:
                     raise IntegrityError(f"cached path broken at depth {i}")
-                node = pool.children[node * fanout + c]
+                node = pool.slots[node * fanout + c]
                 if self.rho[i] != node:
                     raise IntegrityError(f"cached path names a wrong node at depth {i}")
                 offset -= geo.chunk_bits
         # cache table: one entry per live pre-leaf, under its true prefix
-        table = self.table
         if table.count != len(prefixes):
             raise IntegrityError(
                 f"table counts {table.count} entries for {len(prefixes)} pre-leafs"

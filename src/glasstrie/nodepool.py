@@ -1,8 +1,11 @@
 """Fixed-layout trie node pool with a free-list slot allocator.
 
 Nodes live in parallel arrays indexed by integer handles rather than
-machine pointers; a handle fits 16 or 32 bits. The top two values of the
-range stay reserved, as in the paper's layout: INVALID for "end / not
+machine pointers; a handle fits 16 or 32 bits. Each node owns one row
+of ``fanout`` slots: an inner node's slots hold child handles and a
+pre-leaf's hold values, so no node needs two rows. A blank slot, in
+either kind of node, is None. The top two values of the handle range
+stay reserved, as in the paper's layout: INVALID for "end / not
 found", and one the paper gives to spoiled cached iterators. The glass
 keeps its edge iterators current and never spoils one, but the second
 value stays reserved all the same, because the capacity arithmetic
@@ -11,10 +14,11 @@ value stays reserved all the same, because the capacity arithmetic
 Free slots form a singly-linked list threaded through the ``free_link``
 field, trash-encoded: the field is stored so that all-zero memory reads
 as "next slot in the array", which keeps the never-touched tail of the
-pool, fresh or just grown, byte-for-byte zero. ``trash_decode`` and
-``trash_encode`` are the codec; the pop loop in ``allocate_many`` and
-the push loop in ``deallocate_many`` write the same arithmetic out,
-because a call per node cost more than the loop around it: best of 30
+pool, fresh or just grown, all zero, with every slot None.
+``trash_decode`` and ``trash_encode`` are the codec; the pop loop in
+``allocate_many`` and the push loop in ``deallocate_many`` write the
+same arithmetic out, because a call per node cost more than the loop
+around it: best of 30
 interleaved rounds on a shared 2-CPU Xeon (CPython 3.11.7), popping 7
 nodes took 1,199 ns written out against 1,565 ns with a decode call per
 node, and freeing them in one batch 1,201 ns against 2,146 ns for seven
@@ -74,9 +78,11 @@ class Pool:
 
     Storage is struct-of-arrays: ``mask``, ``parent``, ``chain_next``,
     ``chain_prev``, ``cache_key`` and ``free_link`` hold one int per
-    node; ``children`` and ``values`` are flat, ``fanout`` entries per
-    node. Memory handed out is always mask-zeroed, mirroring a zeroing
-    allocator, so a fresh node needs no initialization.
+    node; ``slots`` is flat, ``fanout`` entries per node, holding child
+    handles in an inner node and values in a pre-leaf, never both. A
+    blank slot is None. Memory handed out is always mask-zeroed with
+    every slot None, mirroring a zeroing allocator, so a fresh node
+    needs no initialization.
     """
 
     def __init__(
@@ -103,22 +109,21 @@ class Pool:
         self.live_count = 0
         self.capacity = 0
         self.mask, self.parent, self.chain_next, self.chain_prev = [], [], [], []
-        self.cache_key, self.free_link, self.children, self.values = [], [], [], []
+        self.cache_key, self.free_link, self.slots = [], [], []
+        self.children = self.values = self.slots  # perfbench's array_bytes reads both names
         self._free_set = set()
         self._grow(min(max_capacity, 16))
 
     def _grow(self, new_cap: int):
-        """Extend every array in place to ``new_cap`` nodes, zeroed; the
-        caller has checked that the free list is dry and that ``new_cap``
-        is within ``max_capacity``. The new slots already read as a
-        trash-encoded free list in array order."""
+        """Extend every array in place to ``new_cap`` nodes, zeroed, with
+        every slot None; the caller has checked that the free list is dry
+        and that ``new_cap`` is within ``max_capacity``. The new nodes
+        already read as a trash-encoded free list in array order."""
         added = new_cap - self.capacity
-        n = self.geo.fanout
         for arr in (self.mask, self.parent, self.chain_next, self.chain_prev,
                     self.cache_key, self.free_link):
             arr.extend(repeat(0, added))
-        self.children.extend(repeat(0, added * n))
-        self.values.extend(repeat(None, added * n))
+        self.slots.extend(repeat(None, added * self.geo.fanout))
         if self.debug:
             self._free_set.update(range(self.capacity, new_cap))
         self.first_free = self.capacity
@@ -137,8 +142,9 @@ class Pool:
         one :meth:`deallocate` each: the last node ends up at the head.
         O(1) per node, no traversal.
 
-        Node fields are re-zeroed so each slot reads as blank memory
-        when it is allocated again.
+        Node fields are re-zeroed so each node reads as blank memory
+        when it is allocated again; its slots must already be None,
+        which the glass sees to as it unlinks.
         """
         if self.debug:
             for p in nodes:

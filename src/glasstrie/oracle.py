@@ -81,45 +81,6 @@ class RefMap:
         return bisect.bisect_left(self._keys, key)
 
 
-class NaiveMap:
-    """Second, even simpler reference used to validate RefMap itself:
-    an unsorted list of pairs with linear scans everywhere."""
-
-    def __init__(self):
-        self._pairs: list[tuple[int, object]] = []
-
-    def insert(self, key, value):
-        if any(k == key for k, _ in self._pairs):
-            return False
-        self._pairs.append((key, value))
-        return True
-
-    def erase(self, key):
-        for i, (k, _) in enumerate(self._pairs):
-            if k == key:
-                del self._pairs[i]
-                return True
-        return False
-
-    def find(self, key):
-        for k, v in self._pairs:
-            if k == key:
-                return v
-        return None
-
-    def min(self):
-        return min((k for k, _ in self._pairs), default=None)
-
-    def max(self):
-        return max((k for k, _ in self._pairs), default=None)
-
-    def next(self, key):
-        return min((k for k, _ in self._pairs if k > key), default=None)
-
-    def prev(self, key):
-        return max((k for k, _ in self._pairs if k < key), default=None)
-
-
 def ref_apply(ref, op: tuple):
     """Apply one trace op to any map with the RefMap interface."""
     kind = op[0]
@@ -145,15 +106,7 @@ def _glass_apply(g: Glass, op: tuple):
     if kind == OP_INSERT:
         return g.insert(op[1], op[2])
     if kind == OP_ERASE:
-        key = op[1]
-        if key & 1:
-            # odd keys erase at the iterator ``locate`` finds
-            it = g.locate(key)
-            if it is None:
-                return False
-            g.erase_at(it)
-            return True
-        return g.erase(key)
+        return g.erase(op[1])
     if kind == OP_FIND:
         return g.find(op[1])
     if kind == OP_MIN:
@@ -358,8 +311,9 @@ def fuzz_run(
     Returns None when every result matched, else the first divergence.
     ``structure`` overrides the glass under test (harness self-tests);
     ``check_every`` > 0 additionally runs the full structural-integrity
-    walk at that op interval. The ordered walks are compared with the
-    reference at each such point and after the last op.
+    walk at that op interval and compares the cached edges with the
+    reference there. The ordered walks are compared with the reference
+    at each such point and after the last op.
     """
     size_cap = trace.size_cap if isinstance(trace, OpTrace) else None
     g = structure
@@ -389,8 +343,7 @@ def fuzz_run(
                                   (it.key, g.value_at(it)))
         if check_every and i % check_every == 0:
             g.check_integrity()
-            _check_edges(g, ref)
-            div = _check_walks(g, ref, i)
+            div = _check_edges(g, ref, i) or _check_walks(g, ref, i)
             if div is not None:
                 return div
     return _check_walks(g, ref, i + 1)
@@ -417,13 +370,16 @@ def _check_walks(g: Glass, ref: RefMap, index: int) -> Divergence | None:
     return None
 
 
-def _check_edges(g: Glass, ref: RefMap):
+def _check_edges(g: Glass, ref: RefMap, index: int) -> Divergence | None:
     """The cached min and max hold the reference's edge keys and read
-    their values back (a key alone would pass a wrong pre-leaf)."""
-    for it, key in ((g.min(), ref.min()), (g.max(), ref.max())):
-        assert (it.key if it is not None else None) == key
-        if it is not None:
-            assert g.value_at(it) == ref.find(key)
+    their values back (a key alone would pass a wrong pre-leaf); the
+    first mismatch, or None."""
+    for name, it, key in (("min", g.min(), ref.min()), ("max", g.max(), ref.max())):
+        want = None if key is None else (key, ref.find(key))
+        got = None if it is None else (it.key, g.value_at(it))
+        if got != want:
+            return Divergence(index, (name,), want, got)
+    return None
 
 
 # -- order-book oracle ----------------------------------------------------

@@ -18,7 +18,7 @@ from glasstrie.bitops import (
     next_set_bit,
     prev_set_bit,
 )
-from glasstrie.errors import ConfigError
+from glasstrie.errors import ConfigError, InvalidArgument
 
 
 def scan_next(mask: int, i: int) -> int:
@@ -72,6 +72,26 @@ class TestClz:
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
     def test_shift_monotonic(self, x):
         assert clz(x >> 1, 64) >= clz(x, 64)
+
+    @pytest.mark.parametrize("x, width", [(-1, 64), (1 << 64, 64), (1 << 70, 64), (256, 8)])
+    def test_out_of_range_raises(self, x, width):
+        with pytest.raises(InvalidArgument):
+            clz(x, width)
+
+    def test_range_check_survives_optimize(self, run_optimized):
+        # an assert once made clz(-1) 63 and clz(1 << 70) -7 under -O
+        run_optimized(
+            "from glasstrie.bitops import clz\n"
+            "from glasstrie.errors import InvalidArgument\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "for x in (-1, 1 << 64, 1 << 70):\n"
+            "    try:\n"
+            "        clz(x)\n"
+            "    except InvalidArgument:\n"
+            "        continue\n"
+            "    raise SystemExit(f'clz({x}) accepted')\n"
+        )
 
 
 class TestCommonPrefix:

@@ -227,6 +227,20 @@ class TestIntegrityChecks:
             g.check_integrity(deep=True)
 
 
+    @pytest.mark.parametrize("blank", ["zero", "invalid"])
+    @pytest.mark.parametrize("kind", ["inner", "preleaf"])
+    def test_clear_slot_accepts_only_none(self, kind, blank):
+        # 0 and the invalid handle once passed as blanks in inner nodes
+        g = small_glass()
+        g.insert_sorted([0x1230, 0x8000], "v")
+        pool = g.pool
+        node = g.root if kind == "inner" else g.min().preleaf
+        c = next(c for c in range(g.geo.fanout) if not (pool.mask[node] >> c) & 1)
+        pool.slots[node * g.geo.fanout + c] = 0 if blank == "zero" else pool.invalid
+        with pytest.raises(IntegrityError, match="clear slot"):
+            g.check_integrity(deep=False)
+
+
 class TestLocateSetValue:
     @pytest.mark.parametrize("default_table", [True, False])
     def test_present_and_absent_keys(self, default_table):
@@ -318,28 +332,6 @@ class TestCachedPathLookup:
         assert g.keys() == [0x1235, 0x1236]
         g.check_integrity()
 
-    @pytest.mark.parametrize("default_table", [True, False])
-    def test_erase_at_matches_erase(self, default_table):
-        rng = random.Random(8)
-        by_key = table_glass(default_table)
-        by_it = table_glass(default_table)
-        keys = rng.sample(range(1 << 16), 150) + list(range(0x4000, 0x4040))
-        for k in keys:
-            by_key.insert(k, k)
-            by_it.insert(k, k)
-        rng.shuffle(keys)
-
-        def state(g):
-            return (g.dump(), g.size, g.root, g.last_key, g.path_len,
-                    g.rho[:g.path_len], g._first, g._last, g.pool.free_list_slots())
-
-        for k in keys:
-            assert by_key.erase(k)
-            by_it.erase_at(by_it.locate(k))
-            assert state(by_it) == state(by_key)
-        assert len(by_it) == 0
-        by_it.check_integrity()
-
 
 def ref_split(ref: RefMap, key: int, above: bool) -> list[int]:
     """The keys ``split_off`` must remove from ``ref``; removes them
@@ -359,13 +351,14 @@ def ref_items(ref: RefMap) -> list[tuple[int, object]]:
 
 
 def assert_free_nodes_blank(g: Glass):
+    """Every free node reads as blank memory: mask 0 and its slot row
+    all None. A freed inner node shares its row with the values it will
+    hold as a pre-leaf, so a child handle left there would read as one."""
     pool = g.pool
     fanout = g.geo.fanout
     for p in pool.free_list_slots():
         assert pool.mask[p] == 0
-        row = slice(p * fanout, (p + 1) * fanout)
-        assert all(c in (0, pool.invalid) for c in pool.children[row])
-        assert all(v is None for v in pool.values[row])
+        assert all(v is None for v in pool.slots[p * fanout:(p + 1) * fanout])
 
 
 class TestSplitOff:
@@ -600,13 +593,9 @@ class TestInsertSorted:
             elif r < 0.55 and len(ref) < 300:
                 k = rng.randrange(limit)
                 assert g.insert(k, step) == ref.insert(k, step)
-            elif r < 0.7 and keys:
-                k = rng.choice(keys)
-                assert g.erase(k) and ref.erase(k)
             elif r < 0.85 and keys:
                 k = rng.choice(keys)
-                g.erase_at(g.locate(k))
-                ref.erase(k)
+                assert g.erase(k) and ref.erase(k)
             else:
                 key = rng.choice(keys) if keys and rng.random() < 0.5 else rng.randrange(limit)
                 above = rng.random() < 0.5
@@ -792,10 +781,7 @@ class TestEdgeCache:
             key = ref.min() if rng.random() < 0.5 else ref.max()
             before = g.pool.live_count
             starts.clear()
-            if key & 1:
-                g.erase_at(g.locate(key))
-            else:
-                assert g.erase(key)
+            assert g.erase(key)
             ref.erase(key)
             freed = before - g.pool.live_count
             long_chains += freed > 1
@@ -847,6 +833,30 @@ class TestCacheTableIntegration:
             else:
                 assert a.find(k) == b.find(k)
         assert a.keys() == b.keys()
+
+    def test_grow_under_a_glass_raises(self):
+        # a grown table would rehash into a bucket array the glass does
+        # not probe, and finds would miss stored keys
+        rng = random.Random(15)
+        g = create(50, 5, max_size=2000)
+        keys = rng.sample(range(1 << 50), 1500)
+        for k in keys:
+            g.insert(k, k)
+        table = g.table
+        buckets, heads = table.bucket_count, table.heads
+        with pytest.raises(ConfigError):
+            table.grow()
+        assert table.bucket_count == buckets and table.heads is heads
+        assert all(g.find(k) == k for k in keys)
+        g.check_integrity(deep=True)
+
+    def test_stale_bucket_binding_raises(self):
+        g = small_glass()
+        g.insert_sorted([0x1230, 0x8000], "v")
+        g.table.held = False
+        g.table.grow()
+        with pytest.raises(IntegrityError, match="binding"):
+            g.check_integrity(deep=False)
 
     def test_erase_unregisters_preleaf(self):
         g = create(key_bits=8, chunk_bits=4, width=16, max_size=256)
@@ -1011,7 +1021,9 @@ class TestStructure:
                 present.add(k)
             if step % 200 == 0:
                 g.check_integrity()
+                assert_free_nodes_blank(g)
         g.check_integrity()
+        assert_free_nodes_blank(g)
         assert g.keys() == sorted(present)
 
     def test_dump_golden(self):

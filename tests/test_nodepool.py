@@ -286,7 +286,9 @@ class TestZeroedTail:
                     pool.cache_key, pool.free_link):
             assert all(v == 0 for v in arr[high_water:])
         n = pool.geo.fanout
-        assert all(v == 0 for v in pool.children[high_water * n:])
+        assert all(v is None for v in pool.slots[high_water * n:])
+        for p in pool.free_list_slots():
+            assert all(v is None for v in pool.slots[p * n:(p + 1) * n])
 
     def test_growth_mode_zeroes_new_region(self):
         pool = Pool(GEO, width=16, max_capacity=4096)

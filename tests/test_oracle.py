@@ -11,7 +11,6 @@ from glasstrie.oracle import (
     LOCAL,
     UNIFORM,
     FeatureConfig,
-    NaiveMap,
     OpTrace,
     RefMap,
     all_feature_configs,
@@ -22,6 +21,45 @@ from glasstrie.oracle import (
     trace_load,
     trace_save,
 )
+
+
+class NaiveMap:
+    """Second, even simpler reference used to validate RefMap itself:
+    an unsorted list of pairs with linear scans everywhere."""
+
+    def __init__(self):
+        self._pairs: list[tuple[int, object]] = []
+
+    def insert(self, key, value):
+        if any(k == key for k, _ in self._pairs):
+            return False
+        self._pairs.append((key, value))
+        return True
+
+    def erase(self, key):
+        for i, (k, _) in enumerate(self._pairs):
+            if k == key:
+                del self._pairs[i]
+                return True
+        return False
+
+    def find(self, key):
+        for k, v in self._pairs:
+            if k == key:
+                return v
+        return None
+
+    def min(self):
+        return min((k for k, _ in self._pairs), default=None)
+
+    def max(self):
+        return max((k for k, _ in self._pairs), default=None)
+
+    def next(self, key):
+        return min((k for k, _ in self._pairs if k > key), default=None)
+
+    def prev(self, key):
+        return max((k for k, _ in self._pairs if k < key), default=None)
 
 
 class TestRefMap:
@@ -143,6 +181,10 @@ class _BrokenMap:
         return None
 
 
+#: two inserts and two reads, no MIN or MAX op
+EDGE_TRACE = [("I", 5, 50), ("I", 9, 90), ("F", 5), ("N", 5)]
+
+
 class TestFuzzRun:
     def test_empty_trace_ok(self):
         assert fuzz_run(FeatureConfig(), []) is None
@@ -153,6 +195,27 @@ class TestFuzzRun:
         assert div is not None
         assert div.expected != div.got
         assert "reference returned" in str(div)
+
+    def test_wrong_cached_edge_is_reported(self):
+        # a glass whose min() answers its max, on a trace with no MIN or
+        # MAX op: the edge check at a check point reports it, before the
+        # walks from min() would
+        g = FeatureConfig().build(64)
+        g.min = g.max
+        div = fuzz_run(FeatureConfig(), EDGE_TRACE, structure=g, check_every=1)
+        assert (div.index, div.op, div.expected, div.got) == (1, ("min",), (5, 50), (9, 90))
+
+    def test_wrong_cached_edge_is_reported_under_optimize(self, run_optimized):
+        run_optimized(
+            "from glasstrie.oracle import FeatureConfig, fuzz_run\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "g = FeatureConfig().build(64)\n"
+            "g.min = g.max\n"
+            f"div = fuzz_run(FeatureConfig(), {EDGE_TRACE!r}, structure=g, check_every=1)\n"
+            "if div is None or div.op != ('min',):\n"
+            "    raise SystemExit(f'reported {div}')\n"
+        )
 
     def test_short_runs_all_configs(self):
         trace = gen_trace(13, LOCAL, 4000)

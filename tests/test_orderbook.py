@@ -408,7 +408,7 @@ class PerLevelBook(OrderBook):
             worst = glass.max() if self.side == MIN_SIDE else glass.min()
             if worst is None or self.better(worst.key, price):
                 break
-            glass.erase_at(worst)
+            glass.erase(worst.key)
 
     def restructure(self):
         available = self.max_size - self.glass.size
