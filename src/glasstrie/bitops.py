@@ -54,7 +54,6 @@ class TrieGeometry:
         rem = self.key_bits % self.chunk_bits
         object.__setattr__(self, "root_bits", rem if rem else self.chunk_bits)
         object.__setattr__(self, "bias", (-self.key_bits) % self.chunk_bits)
-        assert (self.key_bits + self.bias) % self.chunk_bits == 0
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class DivisionPlan:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "odd", odd)
         object.__setattr__(self, "odd_inverse", pow(odd, -1, 1 << WORD_BITS))
-        assert (self.odd * self.odd_inverse) & WORD_MASK == 1
 
 
 def clz(x: int, width: int = WORD_BITS) -> int:

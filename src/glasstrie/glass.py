@@ -37,25 +37,25 @@ and repairs ``size``, the cached path and the edge cache once, where
 erasing the same elements one by one would repeat each of those steps
 per element. An order book's preemption is one such cut.
 ``insert_sorted(keys, value)`` is its build-side twin: it inserts a
-strictly monotone run one pre-leaf at a time, jumping and descending
-once per pre-leaf rather than once per key, and repairs ``size`` and the
-edge cache once. It leaves the state one ``insert`` per key would,
-allocations and table chains included. An order book's restructure is
-one such build.
+strictly monotone run one pre-leaf at a time. The first key of each
+pre-leaf goes through ``insert``; the keys after it in the same pre-leaf
+only set bits of a local mask. ``size`` and the edge cache are repaired
+once. It leaves the state one ``insert`` per key would, allocations and
+table chains included. An order book's restructure is one such build.
 
 Pool arrays and geometry constants are bound to instance attributes
 once. Lookups and neighbour walks are built from three private
 primitives: ``_jump`` (the cached-path jump), ``_descend`` (the
 read-only descent from it) and ``_climb`` (scan a node's mask past the
-key, climb parents until a sibling subtree exists, roll down its edge).
-``insert`` shares ``_jump`` and keeps its own descent, which rewrites
-the cached path as it goes. It has two arms: a descent that reaches the
-pre-leaf sets a slot there and returns; any other, an empty glass
-included (a descent that stops above the root), builds the missing
-suffix with ``_build_suffix``, from one ``Pool.allocate_many`` batch in
-one loop. ``insert_sorted`` calls ``_jump`` and the same helper, and
-writes the descent out as ``insert`` does. Three copies stay inlined
-because routing them through a shared helper measured slower:
+key, climb parents until a sibling subtree exists, roll down its edge
+with ``_edge_from``, which also repairs the edge cache after an erase or
+a cut). ``insert`` shares ``_jump`` and keeps the one descent that
+rewrites the cached path as it goes. It has two arms: a descent that
+reaches the pre-leaf sets a slot there and returns; any other, an empty
+glass included (a descent that stops above the root), builds the
+missing suffix from one ``Pool.allocate_many`` batch in one loop. Three
+copies stay inlined because routing them through a shared helper
+measured slower:
 
 * ``first_items`` walks with its own climb loop: with its climbs routed
   through ``_climb``, ``first_items(10)`` over sparse keys took 1.35-1.5x
@@ -69,8 +69,9 @@ because routing them through a shared helper measured slower:
   find-existing ratio against the red-black tree (acceptance criterion
   9's estimator, median of 20 interleaved rounds on a shared 2-CPU
   Xeon, CPython 3.11.7) fell from 1.53 to 1.01, below 1.0 in 8 rounds
-  of 20 rather than 1. ``locate`` and ``erase`` keep using
-  ``_preleaf_of``.
+  of 20 rather than 1. On a don't-know it goes straight to
+  ``_descend``, so the chain is walked once. ``locate`` and ``erase``
+  keep using ``_preleaf_of``.
 """
 
 from __future__ import annotations
@@ -231,41 +232,28 @@ class Glass:
         if depth == self._lastdepth:
             return _new(Iterator, (node, prefix))
         child = self._slots[node * self._fanout + branch]
-        if forward:
-            return self._min_from(child, depth + 1, prefix)
-        return self._max_from(child, depth + 1, prefix)
+        return self._edge_from(child, depth + 1, prefix, forward)
 
-    def _min_from(self, node: int, depth: int, key_prefix: int) -> Iterator:
+    def _edge_from(self, node: int, depth: int, key_prefix: int, forward: bool) -> Iterator:
+        """Iterator of the least (forward) or greatest key under ``node``,
+        the depth-``depth`` node whose key bits above its chunk are
+        ``key_prefix``: follow the lowest or highest set bit down to the
+        pre-leaf."""
         mask = self._mask
         slots = self._slots
         fanout = self._fanout
         c_bits = self._cbits
-        offset = c_bits * (self._lastdepth - depth)
-        while depth < self._lastdepth:
+        last = self._lastdepth
+        offset = c_bits * (last - depth)
+        while True:
             m = mask[node]
-            c = (m & -m).bit_length() - 1
+            c = (m & -m).bit_length() - 1 if forward else m.bit_length() - 1
             key_prefix |= c << offset
+            if depth == last:
+                return _new(Iterator, (node, key_prefix))
             node = slots[node * fanout + c]
             offset -= c_bits
             depth += 1
-        m = mask[node]
-        key_prefix |= (m & -m).bit_length() - 1
-        return _new(Iterator, (node, key_prefix))
-
-    def _max_from(self, node: int, depth: int, key_prefix: int) -> Iterator:
-        mask = self._mask
-        slots = self._slots
-        fanout = self._fanout
-        c_bits = self._cbits
-        offset = c_bits * (self._lastdepth - depth)
-        while depth < self._lastdepth:
-            c = mask[node].bit_length() - 1
-            key_prefix |= c << offset
-            node = slots[node * fanout + c]
-            offset -= c_bits
-            depth += 1
-        key_prefix |= mask[node].bit_length() - 1
-        return _new(Iterator, (node, key_prefix))
 
     # -- core operations ----------------------------------------------
 
@@ -333,39 +321,10 @@ class Glass:
         self.path_len = depth + 1
         if self.size >= self.max_size:
             raise GlassFull(f"glass is at its maximum size {self.max_size}")
-        preleaf = self._build_suffix(key, value, node, depth, offset)
-        self.size += 1
-        self.path_len = self._levels
-        first = self._first
-        if first is None or key < first[1]:
-            self._first = _new(Iterator, (preleaf, key))
-        lastit = self._last
-        if lastit is None or key > lastit[1]:
-            self._last = _new(Iterator, (preleaf, key))
-        return True
-
-    def _build_suffix(self, key: int, value, node: int, depth: int, offset: int) -> int:
-        """Build ``key``'s missing nodes, depths ``depth + 1`` to the
-        last, from one ``Pool.allocate_many`` batch and return the new
-        pre-leaf.
-
-        ``node`` is the deepest existing node on the key's path, at
-        ``depth`` with its chunk at ``offset``; an empty glass passes
-        depth -1 and the offset above the root. The new nodes are linked
-        in and written into ``rho``, the key's slot is set to ``value``
-        (the pre-leaf's mask holds that one bit) and the pre-leaf is
-        registered in the table. ``size``, ``path_len`` and the edges are
-        left to the caller.
-        """
-        inv = self._invalid
-        fanout = self._fanout
-        n_mask = self._nmask
-        c_bits = self._cbits
-        rho = self.rho
-        mask = self._mask
-        slots = self._slots
+        # build the missing suffix, depths depth + 1 to the last, from one
+        # batch; its pre-leaf's mask holds this key's one bit
         parent_arr = self._parent
-        nodes = self.pool.allocate_many(self._lastdepth - depth)
+        nodes = self.pool.allocate_many(last - depth)
         parent = nodes[0]
         if depth < 0:
             self.root = parent
@@ -390,7 +349,15 @@ class Glass:
         mask[parent] = 1 << c
         slots[parent * fanout + c] = value
         self.table.insert(key >> c_bits, parent)
-        return parent
+        self.size += 1
+        self.path_len = self._levels
+        first = self._first
+        if first is None or key < first[1]:
+            self._first = _new(Iterator, (parent, key))
+        lastit = self._last
+        if lastit is None or key > lastit[1]:
+            self._last = _new(Iterator, (parent, key))
+        return True
 
     def insert_sorted(self, keys: list[int], value) -> int:
         """Insert-if-absent every key of a strictly ascending or strictly
@@ -400,13 +367,12 @@ class Glass:
         The build-side twin of :meth:`split_off`, and the end state of
         one :meth:`insert` per key in run order: the same nodes from the
         same allocations, the same table chains, the same cached path and
-        edges. The run is built one pre-leaf at a time. A key in the
-        pre-leaf in hand only sets a bit of a local mask and its value
-        slot, and the mask is stored once the run leaves that pre-leaf;
-        a key in another pre-leaf jumps from the cached path with
-        ``_jump`` and descends, building any missing suffix with
-        ``_build_suffix``. ``size`` and the edges are repaired once, at
-        the end.
+        edges. The run is built one pre-leaf at a time. The first key
+        of a pre-leaf goes through ``insert``, which jumps from the cached
+        path, descends and builds any missing suffix; each later key in
+        that pre-leaf only sets a bit of a local mask and its value slot,
+        and the mask is stored once the run leaves the pre-leaf. ``size``
+        and the edges are repaired once, at the end.
 
         Every check runs before the first write, so on an error the glass
         is unchanged: InvalidArgument for a ``None`` value, a key outside
@@ -439,10 +405,14 @@ class Glass:
         n_mask = self._nmask
         c_bits = self._cbits
         last = self._lastdepth
-        levels = self._levels
         rho = self.rho
         mask = self._mask
         slots = self._slots
+        # through the class: a wrapper on the instance's ``insert`` (a
+        # tracer, a spy) sees one bulk call, not one per pre-leaf
+        insert = Glass.insert
+        size = self.size
+        # keys set in the pre-leaf in hand; ``insert`` counts its own
         added = 0
         # the pre-leaf in hand: its handle, key prefix, slot row and the
         # mask it will be given; ``start`` is the first key's pre-leaf
@@ -452,39 +422,18 @@ class Glass:
         for key in keys:
             key_hi = key >> c_bits
             if key_hi != prefix:
-                # leave the pre-leaf in hand; find or build this key's
+                # leave the pre-leaf in hand; ``insert`` places this key
+                # and ends the cached path at its pre-leaf
                 if prefix >= 0:
                     mask[preleaf] = m
                 prefix = key_hi
-                if self.root == inv:
-                    depth = -1
-                    node = inv
-                    offset = c_bits * levels
-                else:
-                    depth, node = self._jump(key)
-                    rho[depth] = node
-                    offset = c_bits * (last - depth)
-                    while depth < last:
-                        c = (key >> offset) & n_mask
-                        if not (mask[node] >> c) & 1:
-                            break
-                        node = slots[node * fanout + c]
-                        offset -= c_bits
-                        depth += 1
-                        rho[depth] = node
-                if depth < last:
-                    # a new pre-leaf arrives with this key's slot set
-                    preleaf = self._build_suffix(key, value, node, depth, offset)
-                    added += 1
-                else:
-                    preleaf = node
+                insert(self, key, value)
+                preleaf = rho[last]
                 m = mask[preleaf]
                 row = preleaf * fanout
                 if start == inv:
                     start = preleaf
-                # the next pre-leaf's jump starts from this key's path
-                self.last_key = key
-                self.path_len = levels
+                continue
             c = key & n_mask
             if not (m >> c) & 1:
                 m |= 1 << c
@@ -501,7 +450,7 @@ class Glass:
         lastit = self._last
         if lastit is None or hi > lastit[1]:
             self._last = _new(Iterator, (preleaf, hi))
-        return added
+        return self.size - size
 
     def find(self, key: int):
         """Stored value for ``key``, or None.
@@ -509,8 +458,8 @@ class Glass:
         Resolution order: cache table, then, on a don't-know, a descent
         from the cached path. A definitive table answer never descends.
         The probe is ``_preleaf_of``'s, inlined (module docstring): on a
-        hit the slot is read at once, since a slot is None exactly when
-        its mask bit is clear.
+        hit, or at the pre-leaf a descent reaches, the slot is read at
+        once, since a slot is None exactly when its mask bit is clear.
         """
         inv = self._invalid
         key_hi = key >> self._cbits
@@ -523,14 +472,12 @@ class Glass:
                 return self._slots[p * self._fanout + (key & self._nmask)]
             p = chain_next[p]
             probes += 1
-        if p == inv:
+        if p == inv or not 0 <= key < self._key_limit:
             return None
-        # don't-know: _preleaf_of probes again, then descends
-        preleaf = self._preleaf_of(key)
-        if preleaf != inv:
-            c = key & self._nmask
-            if (self._mask[preleaf] >> c) & 1:
-                return self._slots[preleaf * self._fanout + c]
+        # don't-know: descend from the cached path
+        node, depth, _ = self._descend(key)
+        if depth == self._lastdepth:
+            return self._slots[node * self._fanout + (key & self._nmask)]
         return None
 
     def _preleaf_of(self, key: int) -> int:
@@ -655,14 +602,14 @@ class Glass:
             if m:
                 self._first = _new(Iterator, (preleaf, key - c + ((m & -m).bit_length() - 1)))
             else:
-                self._first = self._min_from(parent, self._lastdepth - offset // c_bits,
-                                             key & ~((1 << (offset + c_bits)) - 1))
+                self._first = self._edge_from(parent, self._lastdepth - offset // c_bits,
+                                              key & ~((1 << (offset + c_bits)) - 1), True)
         elif self._last[1] == key:
             if m:
                 self._last = _new(Iterator, (preleaf, key - c + (m.bit_length() - 1)))
             else:
-                self._last = self._max_from(parent, self._lastdepth - offset // c_bits,
-                                            key & ~((1 << (offset + c_bits)) - 1))
+                self._last = self._edge_from(parent, self._lastdepth - offset // c_bits,
+                                             key & ~((1 << (offset + c_bits)) - 1), False)
         return True
 
     def split_off(self, key: int, above: bool) -> int:
@@ -781,9 +728,9 @@ class Glass:
             self._first = None
             self._last = None
         elif above:
-            self._last = self._max_from(self.root, 0, 0)
+            self._last = self._edge_from(self.root, 0, 0, False)
         else:
-            self._first = self._min_from(self.root, 0, 0)
+            self._first = self._edge_from(self.root, 0, 0, True)
         return removed
 
     def min(self) -> Iterator | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator as TIterator
 
 from .cachetable import CacheTable
-from .errors import ConfigError, MalformedEvent, NegativeAmount
+from .errors import ConfigError, IntegrityError, MalformedEvent, NegativeAmount, PriceTooFar
 from .glass import Glass, create
 
 UNIFORM = "uniform"
@@ -102,24 +102,12 @@ def ref_apply(ref, op: tuple):
 
 
 def _glass_apply(g: Glass, op: tuple):
+    """``ref_apply`` for a glass, whose min and max answer iterators."""
     kind = op[0]
-    if kind == OP_INSERT:
-        return g.insert(op[1], op[2])
-    if kind == OP_ERASE:
-        return g.erase(op[1])
-    if kind == OP_FIND:
-        return g.find(op[1])
-    if kind == OP_MIN:
-        it = g.min()
+    if kind == OP_MIN or kind == OP_MAX:
+        it = g.min() if kind == OP_MIN else g.max()
         return None if it is None else it.key
-    if kind == OP_MAX:
-        it = g.max()
-        return None if it is None else it.key
-    if kind == OP_NEXT:
-        return g.next(op[1])
-    if kind == OP_PREV:
-        return g.prev(op[1])
-    raise MalformedEvent(f"unknown trace op {op!r}")
+    return ref_apply(g, op)
 
 
 def geometric_step(rng: random.Random, p: float = 0.2752) -> int:
@@ -484,23 +472,32 @@ def gen_book_ops(
 
 
 def _fast_partition_check(book, oracle: OracleBook):
-    """Constant-cost partition assertions, sound because the sides are
+    """Constant-cost partition checks, sound because the sides are
     sorted: all glass prices beat the threshold iff the worst one does,
     and the best spilled price is the oracle's next rank after the
-    glass contents."""
+    glass contents. Raises IntegrityError, also under ``python -O``."""
     glass = book.glass
     size = glass.size
     spilled = len(book) - size
-    assert size <= book.max_size
-    assert (book.threshold is None) == (spilled == 0)
-    assert size + spilled == len(oracle)
+    if size > book.max_size:
+        raise IntegrityError(f"glass holds {size} levels, over its {book.max_size}")
+    if (book.threshold is None) != (spilled == 0):
+        raise IntegrityError(f"threshold {book.threshold} with {spilled} spilled levels")
+    if size + spilled != len(oracle):
+        raise IntegrityError(f"book holds {size + spilled} levels, oracle {len(oracle)}")
     if book.threshold is not None:
         if size:  # a drained glass with a set threshold is legal
             worst = glass.max() if book.side == "min" else glass.min()
-            assert book.better(worst.key, book.threshold)
+            if not book.better(worst.key, book.threshold):
+                raise IntegrityError(
+                    f"glass level {worst.key} does not beat threshold {book.threshold}"
+                )
         keys = oracle.ref.keys()
         spill_best = keys[size] if book.side == "min" else keys[-1 - size]
-        assert not book.better(spill_best, book.threshold)
+        if book.better(spill_best, book.threshold):
+            raise IntegrityError(
+                f"spilled level {spill_best} beats threshold {book.threshold}"
+            )
 
 
 def fuzz_orderbook(
@@ -510,20 +507,19 @@ def fuzz_orderbook(
     check_every: int = 1,
     deep_every: int | None = None,
 ) -> int:
-    """Drive a book and the oracle in lockstep; assert on any mismatch.
+    """Drive a book and the oracle in lockstep; raise IntegrityError on
+    any mismatch, also under ``python -O``.
 
-    The partition invariant is asserted every ``check_every`` ops in its
+    The partition invariant is checked every ``check_every`` ops in its
     constant-cost form; the full walking check, the partition's and the
     glass's own (trie, cache-table count, cached path), runs every
     ``deep_every`` ops (defaults to ``check_every``). Next-best probes
-    may range past the book's supported window: those only assert the
+    may range past the book's supported window: those only check the
     too-far guard (raises exactly when the sought rank is at or past the
     glass capacity while the glass is saturated); the in-window ones
     must also return the oracle's answer. Returns the count of guard
     trips.
     """
-    from .errors import PriceTooFar
-
     if deep_every is None:
         deep_every = check_every
     oracle = OracleBook(side)
@@ -536,10 +532,14 @@ def fuzz_orderbook(
             book.adjust(op[1], op[2])
             oracle.adjust(op[1], op[2])
         elif kind == "B":
-            assert book.best() == oracle.best()
+            got, want = book.best(), oracle.best()
+            if got != want:
+                raise IntegrityError(f"op #{i} {op!r}: best {got!r}, oracle {want!r}")
         elif kind == "T":
             depth = min(op[1], window)
-            assert book.iterate_best(depth) == oracle.iterate_best(depth)
+            got, want = book.iterate_best(depth), oracle.iterate_best(depth)
+            if got != want:
+                raise IntegrityError(f"op #{i} {op!r}: levels {got!r}, oracle {want!r}")
         elif kind == "NB":
             price = op[1]
             sought = oracle.rank(price) + 1
@@ -548,22 +548,29 @@ def fuzz_orderbook(
                 got = book.next_best_after(price)
             except PriceTooFar:
                 too_far += 1
-                assert sought >= cap, (
-                    f"op #{i}: guard fired for in-window rank {sought}"
-                )
+                if sought < cap:
+                    raise IntegrityError(f"op #{i}: guard fired for in-window rank {sought}")
             else:
-                assert not (sought >= cap and saturated and sought < len(oracle)), (
-                    f"op #{i}: rank {sought} beyond capacity {cap} not rejected"
-                )
+                if sought >= cap and saturated and sought < len(oracle):
+                    raise IntegrityError(
+                        f"op #{i}: rank {sought} beyond capacity {cap} not rejected"
+                    )
                 if sought <= window:
-                    assert got == oracle.next_best_after(price)
+                    want = oracle.next_best_after(price)
+                    if got != want:
+                        raise IntegrityError(
+                            f"op #{i} {op!r}: next best {got!r}, oracle {want!r}"
+                        )
         if check_every and i % check_every == 0:
             _fast_partition_check(book, oracle)
             if deep_every and i % deep_every == 0:
                 book.check_invariants()
                 book.glass.check_integrity(deep=False)
-                assert len(book) == len(oracle)
-    assert sorted(dict(book.levels()).items()) == sorted(
-        (k, oracle.ref.find(k)) for k in oracle.ref.keys()
-    )
+                if len(book) != len(oracle):
+                    raise IntegrityError(f"op #{i}: book holds {len(book)} levels, "
+                                         f"oracle {len(oracle)}")
+    levels = sorted(dict(book.levels()).items())
+    want = sorted((k, oracle.ref.find(k)) for k in oracle.ref.keys())
+    if levels != want:
+        raise IntegrityError(f"book levels {levels!r} differ from the oracle's {want!r}")
     return too_far

@@ -4,6 +4,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glasstrie import glass as glassmod
 from glasstrie.bitops import TrieGeometry, clz
@@ -608,6 +609,27 @@ class TestInsertSorted:
             assert_free_nodes_blank(g)
         assert bulk > 1000
 
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cfg_id)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_runs_equal_single_inserts(self, cfg, data):
+        # prior contents and the run share pre-leafs: a few drawn
+        # prefixes, some next to each other so they share parents too
+        prefixes = data.draw(st.lists(st.integers(0, 0xFFF) | st.integers(0x120, 0x12F),
+                                      min_size=1, max_size=6, unique=True))
+        key = (st.builds(lambda hi, lo: hi << 4 | lo, st.sampled_from(prefixes),
+                         st.integers(0, 15))
+               | st.integers(0, self.LIMIT - 1))
+        stored = data.draw(st.lists(key, max_size=40, unique=True))
+        run = sorted(data.draw(st.sets(key, min_size=1, max_size=60)))
+        if data.draw(st.booleans()):
+            run.reverse()
+        bulk, single = self.twins(cfg, stored)
+        added = bulk.insert_sorted(run, "v")
+        assert added == sum(single.insert(k, "v") for k in run)
+        assert twin_state(bulk) == twin_state(single)
+        bulk.check_integrity(deep=True)
+
     ERRORS = {
         "full": (GlassFull, [0x0200, 0x0300, 0x0400], "v"),
         "full counting a present key": (GlassFull, [0x0100, 0x0300, 0x0400], "v"),
@@ -772,10 +794,9 @@ class TestEdgeCache:
             g.insert(k, k + 1)
             ref.insert(k, k + 1)
         starts = []  # depth each edge walk starts from
-        for name in ("_min_from", "_max_from"):
-            walk = getattr(g, name)
-            setattr(g, name, lambda node, depth, prefix, walk=walk:
-                    starts.append(depth) or walk(node, depth, prefix))
+        walk = g._edge_from
+        g._edge_from = lambda node, depth, prefix, forward: (
+            starts.append(depth) or walk(node, depth, prefix, forward))
         long_chains = 0
         while len(ref):
             key = ref.min() if rng.random() < 0.5 else ref.max()
@@ -913,6 +934,24 @@ class TestDontKnowRoute:
             descents.clear()
         assert g.keys() == self.NEWEST
         g.check_integrity(deep=True)
+
+    def test_find_walks_the_chain_once(self):
+        # after the probe's don't-know, find descends at once: it never
+        # asks _preleaf_of, which would walk the same chain entries again
+        g = self.glass()
+        ref = RefMap()
+        for k in self.KEYS:
+            ref.insert(k, k * 10)
+
+        def refuse(key):
+            raise AssertionError(f"find({key:#x}) probed again through _preleaf_of")
+
+        g._preleaf_of = refuse
+        descents = self.watch(g)
+        in_range = self.DEEP + [k + 1 for k in self.DEEP] + [0x9005, 0x0005]
+        for k in in_range + [-1, 1 << 16]:
+            assert g.find(k) == ref.find(k)
+        assert descents == in_range
 
     def test_newest_preleafs_answer_without_descent(self):
         g = self.glass()

@@ -540,6 +540,35 @@ class TestSideSymmetry:
         assert [(big - p, a) for p, a in lo_levels] == hi_levels
 
 
+class SevenBlindBook(OrderBook):
+    """A wrong book: ``best()`` answers None for prices divisible by 7."""
+
+    def best(self):
+        price = super().best()
+        return None if price is not None and price % 7 == 0 else price
+
+
+#: runs the book fuzz on a ``SevenBlindBook``; exits 0 only when reported
+SEVEN_BLIND_RUN = """
+from glasstrie.errors import IntegrityError
+from glasstrie.oracle import fuzz_orderbook, gen_book_ops
+from glasstrie.orderbook import OrderBook
+
+class SevenBlindBook(OrderBook):
+    def best(self):
+        price = super().best()
+        return None if price is not None and price % 7 == 0 else price
+
+book = SevenBlindBook("min", max_size=64, best_window=25, key_bits=20, chunk_bits=4, width=16)
+try:
+    fuzz_orderbook(book, "min", gen_book_ops(seed=3, length=5000))
+except IntegrityError:
+    pass
+else:
+    raise SystemExit("a wrong best() went unreported")
+"""
+
+
 class TestOracleFuzz:
     @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
     @pytest.mark.parametrize("max_size", [4, 64])
@@ -549,6 +578,15 @@ class TestOracleFuzz:
         trips = fuzz_orderbook(book, side, ops, check_every=1)
         if max_size == 4:
             assert trips > 0  # tiny glass must exercise the guard
+
+    def test_wrong_best_is_reported(self):
+        book = make(MIN_SIDE, max_size=64, key_bits=20, cls=SevenBlindBook)
+        with pytest.raises(IntegrityError):
+            fuzz_orderbook(book, MIN_SIDE, gen_book_ops(seed=3, length=5000))
+
+    def test_wrong_best_is_reported_under_optimize(self, run_optimized):
+        run_optimized("if __debug__:\n    raise SystemExit('asserts are on')\n"
+                      + SEVEN_BLIND_RUN)
 
     def test_oracle_book_self_check(self):
         ob = OracleBook("min")
