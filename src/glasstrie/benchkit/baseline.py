@@ -7,7 +7,7 @@ red-black tree, ``RBMap``, which allocates a node object per insert
 
 from __future__ import annotations
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NegativeAmount
 
 RED = True
 BLACK = False
@@ -333,7 +333,8 @@ class RBMap:
 
 class BaselineBook:
     """Order-book side over a baseline map: the unbounded way a book is
-    kept on top of an ordinary ordered map."""
+    kept on top of an ordinary ordered map. Over ``oracle.RefMap`` it is
+    the reference book, ``oracle.OracleBook``."""
 
     def __init__(self, side: str, map_factory=RBMap):
         if side not in ("min", "max"):
@@ -346,12 +347,12 @@ class BaselineBook:
 
     def adjust(self, price: int, delta: int):
         m = self.levels_map
-        amount = m.find(price)
-        if amount is None:
-            amount = 0
-        else:
-            m.erase(price)
+        amount = m.find(price) or 0
         new_amount = amount + delta
+        if new_amount < 0:
+            raise NegativeAmount(f"level {price} would go to {new_amount}")
+        if amount:
+            m.erase(price)
         if new_amount:
             m.insert(price, new_amount)
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import InvalidArgument
 
 
@@ -100,8 +98,11 @@ def simulate_dunno_absent(
 
     One trial is one observed bucket; every throw of ``n`` balls yields
     ``buckets`` of them, so ``trials // buckets`` throws are performed.
-    Returns (estimate, standard error).
+    Returns (estimate, standard error). Needs numpy, the package's one
+    optional dependency, imported here so nothing else does.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     throws = max(1, trials // buckets)
     observed = throws * buckets

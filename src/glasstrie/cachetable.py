@@ -74,8 +74,7 @@ class CacheTable:
         self._shift = 64 - buckets.bit_length() + 1
         # set by the glass that binds ``heads`` and ``_shift``
         self.held = False
-        # instrumentation: footprint of the most recent operation
-        self.last_link_writes = 0
+        # instrumentation: probes of the most recent lookup
         self.last_probes = 0
 
     def bucket_of(self, key_hi: int) -> int:
@@ -90,13 +89,10 @@ class CacheTable:
         pool.cache_key[node] = key_hi
         pool.chain_next[node] = head
         pool.chain_prev[node] = inv
-        writes = 2
         if head != inv:
             pool.chain_prev[head] = node
-            writes += 1
         self.heads[h] = node
         self.count += 1
-        self.last_link_writes = writes
 
     def remove(self, node: int):
         """Unlink ``node`` through its own two links; no traversal."""
@@ -104,17 +100,13 @@ class CacheTable:
         inv = pool.invalid
         nxt = pool.chain_next[node]
         prv = pool.chain_prev[node]
-        writes = 0
         if prv == inv:
             self.heads[self.bucket_of(pool.cache_key[node])] = nxt
         else:
             pool.chain_next[prv] = nxt
-            writes += 1
         if nxt != inv:
             pool.chain_prev[nxt] = prv
-            writes += 1
         self.count -= 1
-        self.last_link_writes = writes
 
     def lookup(self, key_hi: int) -> int:
         """Handle of the matching pre-leaf, or ABSENT / DONT_KNOW.

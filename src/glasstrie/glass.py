@@ -27,9 +27,11 @@ for callers.
 ``_preleaf_of``: first the pre-leaf that ends a whole cached path, when
 the key differs from ``last_key`` only in its last chunk (no probe);
 then the cache table; on a don't-know, the descent.
-On perfbench's book-feed 73% of these lookups end at the first step,
-on map-uniform under 0.1%. Every erase goes by key: nothing removes an
-element through an iterator, which could be stale.
+Over 100k events of perfbench's seed 7 feeds (a spy counting the calls
+whose first test holds), 79.7% of 27,328 calls end at the first step on
+book-feed, 87.1% of 23,351 on book-spill and 3 of 19,480 on
+map-uniform. Every erase goes by key: nothing removes an element
+through an iterator, which could be stale.
 ``split_off(key, above)`` removes one whole side of a key in one cut:
 a walk up the key's path detaches every subtree beyond it, trims the
 cut pre-leaf, frees all the nodes in one ``Pool.deallocate_many`` call

@@ -4,18 +4,20 @@
 bisect-maintained sorted key list, slow but obviously correct. Traces
 of operations are generated deterministically from a seed, replayable
 from text files, and applied in lockstep to a glass and the reference;
-the first divergence is reported with full context.
+the first divergence is raised with full context. ``OracleBook`` is the
+reference book side: a ``BaselineBook`` over a RefMap.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator as TIterator
 
+from .benchkit.baseline import BaselineBook
 from .cachetable import CacheTable
-from .errors import ConfigError, IntegrityError, MalformedEvent, NegativeAmount, PriceTooFar
+from .errors import IntegrityError, MalformedEvent, PriceTooFar
 from .glass import Glass, create
 
 UNIFORM = "uniform"
@@ -75,6 +77,15 @@ class RefMap:
 
     def keys(self) -> list[int]:
         return list(self._keys)
+
+    def first_items(self, count: int, descending: bool = False) -> list[tuple[int, object]]:
+        """Up to ``count`` (key, value) pairs from the ordered end, as
+        ``Glass.first_items`` gives them."""
+        if count <= 0:
+            return []
+        keys = self._keys[:-count - 1:-1] if descending else self._keys[:count]
+        data = self._data
+        return [(k, data[k]) for k in keys]
 
     def rank(self, key: int) -> int:
         """0-based position of ``key`` in sorted order."""
@@ -274,18 +285,19 @@ def all_feature_configs(**kw) -> list[FeatureConfig]:
     return [FeatureConfig(buckets=b, **kw) for b in (None, 1)]
 
 
-@dataclass
-class Divergence:
-    index: int
-    op: tuple
-    expected: object
-    got: object
+class Divergence(IntegrityError):
+    """The first op at which a structure answered other than the
+    reference: its trace index, the op, and both answers."""
 
-    def __str__(self):
-        return (
-            f"op #{self.index} {self.op!r}: reference returned "
-            f"{self.expected!r}, structure returned {self.got!r}"
+    def __init__(self, index: int, op: tuple, expected, got):
+        super().__init__(
+            f"op #{index} {op!r}: reference returned {expected!r}, "
+            f"structure returned {got!r}"
         )
+        self.index = index
+        self.op = op
+        self.expected = expected
+        self.got = got
 
 
 def fuzz_run(
@@ -293,10 +305,11 @@ def fuzz_run(
     trace: OpTrace | Iterable[tuple],
     structure=None,
     check_every: int = 0,
-) -> Divergence | None:
+) -> None:
     """Apply a trace to a glass and a RefMap in lockstep.
 
-    Returns None when every result matched, else the first divergence.
+    Raises the first divergence as a ``Divergence``, also under
+    ``python -O``; returns None when every result matched.
     ``structure`` overrides the glass under test (harness self-tests);
     ``check_every`` > 0 additionally runs the full structural-integrity
     walk at that op interval and compares the cached edges with the
@@ -316,34 +329,32 @@ def fuzz_run(
         expected = ref_apply(ref, op)
         got = _glass_apply(g, op)
         if got != expected:
-            return Divergence(i, op, expected, got)
+            raise Divergence(i, op, expected, got)
         if op[0] == OP_FIND:
             # locate must agree with find, and its iterator read back
             it = g.locate(op[1])
             located = None if it is None else (it.key, g.value_at(it))
             if located != (None if expected is None else (op[1], expected)):
-                return Divergence(i, ("locate", op[1]), expected, located)
+                raise Divergence(i, ("locate", op[1]), expected, located)
         if expected is not None and op[0] in (OP_MIN, OP_MAX):
             # the key alone would pass an edge iterator on the wrong pre-leaf
             it = g.min() if op[0] == OP_MIN else g.max()
             if g.value_at(it) != ref.find(expected):
-                return Divergence(i, op, (expected, ref.find(expected)),
-                                  (it.key, g.value_at(it)))
+                raise Divergence(i, op, (expected, ref.find(expected)),
+                                 (it.key, g.value_at(it)))
         if check_every and i % check_every == 0:
             g.check_integrity()
-            div = _check_edges(g, ref, i) or _check_walks(g, ref, i)
-            if div is not None:
-                return div
-    return _check_walks(g, ref, i + 1)
+            _check_edges(g, ref, i)
+            _check_walks(g, ref, i)
+    _check_walks(g, ref, i + 1)
 
 
-def _check_walks(g: Glass, ref: RefMap, index: int) -> Divergence | None:
+def _check_walks(g: Glass, ref: RefMap, index: int):
     """The (key, value) pairs of an ``iter_next`` walk from ``min()``, an
     ``iter_prev`` walk from ``max()`` and ``first_items`` in both
-    directions against the reference's; the first mismatch, or None."""
-    ascending = [(k, ref.find(k)) for k in ref.keys()]
+    directions against the reference's; raises the first mismatch."""
     for descending in (False, True):
-        want = ascending[::-1] if descending else ascending
+        want = ref.first_items(len(ref), descending)
         step = g.iter_prev if descending else g.iter_next
         it = g.max() if descending else g.min()
         walked = []
@@ -351,72 +362,44 @@ def _check_walks(g: Glass, ref: RefMap, index: int) -> Divergence | None:
             walked.append((it.key, g.value_at(it)))
             it = step(it)
         if walked != want:
-            return Divergence(index, ("iter_prev" if descending else "iter_next",), want, walked)
+            raise Divergence(index, ("iter_prev" if descending else "iter_next",), want, walked)
         bulk = g.first_items(len(g), descending)
         if bulk != want:
-            return Divergence(index, ("first_items", descending), want, bulk)
-    return None
+            raise Divergence(index, ("first_items", descending), want, bulk)
 
 
-def _check_edges(g: Glass, ref: RefMap, index: int) -> Divergence | None:
+def _check_edges(g: Glass, ref: RefMap, index: int):
     """The cached min and max hold the reference's edge keys and read
-    their values back (a key alone would pass a wrong pre-leaf); the
-    first mismatch, or None."""
+    their values back (a key alone would pass a wrong pre-leaf); raises
+    the first mismatch."""
     for name, it, key in (("min", g.min(), ref.min()), ("max", g.max(), ref.max())):
         want = None if key is None else (key, ref.find(key))
         got = None if it is None else (it.key, g.value_at(it))
         if got != want:
-            return Divergence(index, (name,), want, got)
-    return None
+            raise Divergence(index, (name,), want, got)
 
 
 # -- order-book oracle ----------------------------------------------------
 
 
-class OracleBook:
-    """Unbounded reference book side: a RefMap of price -> amount with
-    side-aware best/next semantics and rank queries."""
+class OracleBook(BaselineBook):
+    """Unbounded reference book side: a ``BaselineBook`` over a RefMap of
+    price -> amount, plus rank queries."""
 
     def __init__(self, side: str):
-        if side not in ("min", "max"):
-            raise ConfigError(f"side must be 'min' or 'max', got {side!r}")
-        self.side = side
-        self.ref = RefMap()
-
-    def __len__(self):
-        return len(self.ref)
-
-    def adjust(self, price: int, delta: int):
-        amount = self.ref.find(price) or 0
-        new_amount = amount + delta
-        if new_amount < 0:
-            raise NegativeAmount(f"level {price} would go to {new_amount}")
-        if amount:
-            self.ref.erase(price)
-        if new_amount:
-            self.ref.insert(price, new_amount)
-
-    def find(self, price: int):
-        return self.ref.find(price)
-
-    def best(self):
-        return self.ref.min() if self.side == "min" else self.ref.max()
-
-    def next_best_after(self, price: int):
-        return self.ref.next(price) if self.side == "min" else self.ref.prev(price)
+        super().__init__(side, RefMap)
 
     def rank(self, price: int) -> int:
         """0-based rank counting from the best price."""
-        keys = self.ref.keys()
+        m = self.levels_map
         if self.side == "min":
-            return self.ref.rank(price)
-        return len(keys) - 1 - self.ref.rank(price)
+            return m.rank(price)
+        return len(m) - 1 - m.rank(price)
 
-    def iterate_best(self, depth: int):
-        keys = self.ref.keys()
-        if self.side == "max":
-            keys = keys[::-1]
-        return [(k, self.ref.find(k)) for k in keys[:depth]]
+
+#: share of a book stream's adjusts that remove a whole edge level, the
+#: lowest or the highest price, so the best moves on either side
+EDGE_REMOVE_RATE = 0.05
 
 
 def gen_book_ops(
@@ -433,6 +416,9 @@ def gen_book_ops(
     the stream's own simulated book, ('B',) best queries, ('T', depth)
     iterations, and ('NB', price) next-best probes at present prices.
     Prices random-walk with small nonzero steps (sequential locality).
+    A walk leaves the levels behind it in place, so one side's best
+    would barely move; ``EDGE_REMOVE_RATE`` of the adjusts instead
+    remove the lowest or the highest level, half each.
     """
     rng = random.Random(seed)
     hi = (1 << key_bits) - 1
@@ -450,6 +436,10 @@ def gen_book_ops(
     for _ in range(length):
         r = rng.random()
         if r < adjust_weight or not amounts:
+            if amounts and rng.random() < EDGE_REMOVE_RATE:
+                p = min(amounts) if rng.random() < 0.5 else max(amounts)
+                yield ("A", p, -amounts.pop(p))
+                continue
             p = walk()
             have = amounts.get(p, 0)
             if have and rng.random() < 0.45:
@@ -492,8 +482,7 @@ def _fast_partition_check(book, oracle: OracleBook):
                 raise IntegrityError(
                     f"glass level {worst.key} does not beat threshold {book.threshold}"
                 )
-        keys = oracle.ref.keys()
-        spill_best = keys[size] if book.side == "min" else keys[-1 - size]
+        spill_best = oracle.iterate_best(size + 1)[size][0]
         if book.better(spill_best, book.threshold):
             raise IntegrityError(
                 f"spilled level {spill_best} beats threshold {book.threshold}"
@@ -570,7 +559,7 @@ def fuzz_orderbook(
                     raise IntegrityError(f"op #{i}: book holds {len(book)} levels, "
                                          f"oracle {len(oracle)}")
     levels = sorted(dict(book.levels()).items())
-    want = sorted((k, oracle.ref.find(k)) for k in oracle.ref.keys())
+    want = oracle.levels_map.first_items(len(oracle))
     if levels != want:
         raise IntegrityError(f"book levels {levels!r} differ from the oracle's {want!r}")
     return too_far

@@ -205,15 +205,14 @@ class OrderBook:
         """Best ``depth`` levels, best first, as (price, amount) pairs.
 
         Walks the glass's prices in one ``first_items`` call and reads
-        each amount from ``amounts``; a glass that runs dry mid-window
-        is refilled by a restructure and walked again.
+        each amount from ``amounts``; a glass that runs dry mid-window,
+        or is empty while levels are spilled, is refilled by a
+        restructure and walked again.
         """
         if depth > self.best_window:
             raise ConfigError(
                 f"iteration depth {depth} exceeds best window {self.best_window}"
             )
-        if self.best() is None:
-            return []
         descending = self.side == MAX_SIDE
         items = self.glass.first_items(depth, descending)
         if len(items) < depth and self.threshold is not None:

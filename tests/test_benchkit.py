@@ -158,6 +158,15 @@ class TestAmplify:
 
 
 class TestProbability:
+    def test_package_imports_without_numpy(self, run_fresh):
+        # numpy is imported only inside simulate_dunno_absent
+        run_fresh(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import glasstrie, glasstrie.oracle, glasstrie.cli\n"
+            "import glasstrie.benchkit.probability\n"
+        )
+
     def test_paper_scale_present(self):
         p = dunno_prob_present(9210, 32768, 5)
         assert abs(p - 3.76e-7) / 3.76e-7 < 0.02

@@ -178,18 +178,44 @@ class TestLookup:
             assert got in (p, DONT_KNOW)
 
 
+def count_stores(pool: Pool, table: CacheTable) -> list[int]:
+    """Swap lists that count their item stores in for the chain links and
+    the bucket heads; the returned one-element list holds the count."""
+    stores = [0]
+
+    class Counting(list):
+        def __setitem__(self, i, v):
+            stores[0] += 1
+            list.__setitem__(self, i, v)
+
+    pool.chain_next = Counting(pool.chain_next)
+    pool.chain_prev = Counting(pool.chain_prev)
+    table.heads = Counting(table.heads)
+    return stores
+
+
 class TestBoundedWork:
     def test_insert_and_remove_touch_constant_links(self):
         pool, table = make()
         bucket, keys = colliding_keys(table, 20)
         nodes = [pool.allocate() for _ in keys]
+        stores = count_stores(pool, table)
         for k, p in zip(keys, nodes):
+            before = stores[0]
             table.insert(k, p)
-            assert table.last_link_writes <= 3
-        table.remove(nodes[10])
-        assert table.last_link_writes <= 2
-        table.remove(nodes[-1])  # current head
-        assert table.last_link_writes <= 2
+            assert stores[0] - before <= 4
+        gone = (nodes[10], nodes[-1], nodes[0])  # mid-chain, head, tail
+        for p in gone:
+            before = stores[0]
+            table.remove(p)
+            assert stores[0] - before <= 2
+        kept = [p for p in reversed(nodes) if p not in gone]
+        assert table.chain(bucket) == kept
+        back, p = [], kept[-1]
+        while p != pool.invalid:
+            back.append(p)
+            p = pool.chain_prev[p]
+        assert back == kept[::-1]
 
     def test_lookup_probe_bound(self):
         pool, table = make()

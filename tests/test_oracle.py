@@ -6,10 +6,11 @@ import statistics
 import pytest
 
 from glasstrie.cachetable import DONT_KNOW
-from glasstrie.errors import MalformedEvent
+from glasstrie.errors import IntegrityError, MalformedEvent
 from glasstrie.oracle import (
     LOCAL,
     UNIFORM,
+    Divergence,
     FeatureConfig,
     OpTrace,
     RefMap,
@@ -82,6 +83,15 @@ class TestRefMap:
         assert ref.next(15) == 20
         assert ref.prev(15) == 10
         assert ref.next(30) is None
+
+    @pytest.mark.parametrize("count", [-1, 0, 1, 3, 5, 9])
+    def test_first_items_matches_the_glass(self, count):
+        ref, g = RefMap(), FeatureConfig().build(64)
+        for k in (40, 7, 23, 61, 15):
+            ref.insert(k, -k)
+            g.insert(k, -k)
+        for descending in (False, True):
+            assert ref.first_items(count, descending) == g.first_items(count, descending)
 
     def test_against_naive_map(self):
         rng = random.Random(42)
@@ -191,8 +201,10 @@ class TestFuzzRun:
 
     def test_broken_structure_is_caught(self):
         trace = gen_trace(2, LOCAL, 500)
-        div = fuzz_run(FeatureConfig(), trace, structure=_BrokenMap())
-        assert div is not None
+        with pytest.raises(Divergence) as caught:
+            fuzz_run(FeatureConfig(), trace, structure=_BrokenMap())
+        div = caught.value
+        assert isinstance(div, IntegrityError)
         assert div.expected != div.got
         assert "reference returned" in str(div)
 
@@ -202,19 +214,25 @@ class TestFuzzRun:
         # walks from min() would
         g = FeatureConfig().build(64)
         g.min = g.max
-        div = fuzz_run(FeatureConfig(), EDGE_TRACE, structure=g, check_every=1)
+        with pytest.raises(Divergence) as caught:
+            fuzz_run(FeatureConfig(), EDGE_TRACE, structure=g, check_every=1)
+        div = caught.value
         assert (div.index, div.op, div.expected, div.got) == (1, ("min",), (5, 50), (9, 90))
 
     def test_wrong_cached_edge_is_reported_under_optimize(self, run_optimized):
         run_optimized(
-            "from glasstrie.oracle import FeatureConfig, fuzz_run\n"
+            "from glasstrie.oracle import Divergence, FeatureConfig, fuzz_run\n"
             "if __debug__:\n"
             "    raise SystemExit('asserts are on')\n"
             "g = FeatureConfig().build(64)\n"
             "g.min = g.max\n"
-            f"div = fuzz_run(FeatureConfig(), {EDGE_TRACE!r}, structure=g, check_every=1)\n"
-            "if div is None or div.op != ('min',):\n"
-            "    raise SystemExit(f'reported {div}')\n"
+            "try:\n"
+            f"    fuzz_run(FeatureConfig(), {EDGE_TRACE!r}, structure=g, check_every=1)\n"
+            "except Divergence as div:\n"
+            "    if div.op != ('min',):\n"
+            "        raise SystemExit(f'reported {div}')\n"
+            "else:\n"
+            "    raise SystemExit('a wrong cached edge went unreported')\n"
         )
 
     def test_short_runs_all_configs(self):

@@ -548,7 +548,8 @@ class SevenBlindBook(OrderBook):
         return None if price is not None and price % 7 == 0 else price
 
 
-#: runs the book fuzz on a ``SevenBlindBook``; exits 0 only when reported
+#: runs the book fuzz on a ``SevenBlindBook`` of side ``side`` (set by
+#: the caller); exits 0 only when reported
 SEVEN_BLIND_RUN = """
 from glasstrie.errors import IntegrityError
 from glasstrie.oracle import fuzz_orderbook, gen_book_ops
@@ -559,9 +560,9 @@ class SevenBlindBook(OrderBook):
         price = super().best()
         return None if price is not None and price % 7 == 0 else price
 
-book = SevenBlindBook("min", max_size=64, best_window=25, key_bits=20, chunk_bits=4, width=16)
+book = SevenBlindBook(side, max_size=64, best_window=25, key_bits=20, chunk_bits=4, width=16)
 try:
-    fuzz_orderbook(book, "min", gen_book_ops(seed=3, length=5000))
+    fuzz_orderbook(book, side, gen_book_ops(seed=3, length=5000))
 except IntegrityError:
     pass
 else:
@@ -579,14 +580,16 @@ class TestOracleFuzz:
         if max_size == 4:
             assert trips > 0  # tiny glass must exercise the guard
 
-    def test_wrong_best_is_reported(self):
-        book = make(MIN_SIDE, max_size=64, key_bits=20, cls=SevenBlindBook)
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_wrong_best_is_reported(self, side):
+        book = make(side, max_size=64, key_bits=20, cls=SevenBlindBook)
         with pytest.raises(IntegrityError):
-            fuzz_orderbook(book, MIN_SIDE, gen_book_ops(seed=3, length=5000))
+            fuzz_orderbook(book, side, gen_book_ops(seed=3, length=5000))
 
-    def test_wrong_best_is_reported_under_optimize(self, run_optimized):
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_wrong_best_is_reported_under_optimize(self, side, run_optimized):
         run_optimized("if __debug__:\n    raise SystemExit('asserts are on')\n"
-                      + SEVEN_BLIND_RUN)
+                      f"side = {side!r}\n" + SEVEN_BLIND_RUN)
 
     def test_oracle_book_self_check(self):
         ob = OracleBook("min")
