@@ -13,12 +13,12 @@ from pathlib import Path
 
 from glasstrie.benchkit.amplify import amplify
 from glasstrie.benchkit.bench import (
-    best_of,
     ratio_sweep,
     replay_workload,
+    run_bench,
     synth_workload,
 )
-from glasstrie.benchkit.events import ITER, write_events
+from glasstrie.benchkit.events import write_events
 from glasstrie.benchkit.locality import locality_histograms
 from glasstrie.benchkit.synth import market_events
 
@@ -39,8 +39,9 @@ print("\n== isolated operations, one copy (ns/op, best of 3) ==")
 print(f"{'family':>8} {'glass':>8} {'rb-tree':>8}")
 for family in ("insert", "erase", "find-e", "find-ne"):
     w = synth_workload(family, seed=2, count=512)
+    # the fastest of 3 runs: timing noise on a shared machine only adds
     cells = [
-        best_of(s, w, copies=1, iterations=8, reps=3).ns_per_op
+        min(run_bench(s, w, copies=1, iterations=8).ns_per_op for _ in range(3))
         for s in ("glass", "rbt")
     ]
     print(f"{family:>8} {cells[0]:>8.0f} {cells[1]:>8.0f}")
@@ -52,6 +53,6 @@ for row in ratio_sweep(workload, copies_list=[1, 4, 16], iterations=1):
     print(f"{row.copies:>6} {row.glass_ns:>9.0f} {row.rbt_ns:>9.0f} {row.ratio_rbt:>8.2f}")
 
 print("\n== amplification isolates read-only iteration ==")
-amplified = amplify(events[:4000], 50, ITER)
+amplified = amplify(events[:4000], 50)
 print(f"  {len(events[:4000])} events -> {len(amplified)} after 50x on iteration "
       f"(other read-only ops dropped)")

@@ -11,7 +11,6 @@ subpackage measures all of it against red-black-tree baselines.
 
 from .bitops import DivisionPlan, TrieGeometry
 from .errors import (
-    AmplifyModifying,
     ConfigError,
     GlassError,
     GlassFull,
@@ -29,7 +28,6 @@ from .orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplifyModifying",
     "CapacityModel",
     "CompressedIterator",
     "ConfigError",

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
-from ..errors import ConfigError
+from ..errors import ConfigError, IntegrityError
 from ..glass import create
 from ..orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 from .amplify import amplify
 from .baseline import BaselineBook, RBMap
-from .events import ADJUST, ASK, BEST, BID, ITER, NEXT_BEST, MarketEvent
+from .events import ADJUST, ASK, BEST, BID, DEFAULT_ITER_DEPTH, ITER, MarketEvent
 from .synth import absent_neighbors, local_price_sequence, market_events
 
 GLASS = "glass"
@@ -32,6 +33,10 @@ FAMILIES = SYNTH_FAMILIES + REPLAY_FAMILIES
 
 MAX_COPIES = 32
 _MASK64 = (1 << 64) - 1
+#: every workload's prices are 50-bit, the paper's key width
+KEY_BITS = 50
+#: a glass book's best-price window: the depth the streams iterate to
+BEST_WINDOW = DEFAULT_ITER_DEPTH
 
 
 def default_iterations(kind: str, copies: int) -> int:
@@ -45,7 +50,6 @@ class SynthWorkload:
     family: str
     prices: list[int]
     queries: list[int] | None
-    key_bits: int
     max_size: int
     kind: str = "synthetic"
 
@@ -54,9 +58,7 @@ class SynthWorkload:
 class ReplayWorkload:
     family: str
     events: list[MarketEvent]
-    key_bits: int
     max_size: int
-    best_window: int
     kind: str = "replay"
 
 
@@ -75,41 +77,34 @@ class BenchResult:
         return self.elapsed_ns / max(1, self.ops_applied)
 
 
-def synth_workload(
-    family: str,
-    seed: int,
-    count: int = 512,
-    key_bits: int = 50,
-) -> SynthWorkload:
+def synth_workload(family: str, seed: int, count: int = 512) -> SynthWorkload:
     if family not in SYNTH_FAMILIES:
         raise ConfigError(f"unknown synthetic family {family!r}")
-    prices = local_price_sequence(seed, count, key_bits=key_bits)
-    queries = absent_neighbors(prices, key_bits=key_bits) if family == "find-ne" else None
-    return SynthWorkload(family, prices, queries, key_bits, max_size=count)
+    prices = local_price_sequence(seed, count, key_bits=KEY_BITS)
+    queries = absent_neighbors(prices, key_bits=KEY_BITS) if family == "find-ne" else None
+    return SynthWorkload(family, prices, queries, max_size=count)
 
 
 def replay_workload(
     seed: int = 0,
     count: int = 4000,
-    key_bits: int = 50,
     max_size: int = 256,
-    best_window: int = 25,
     events: list[MarketEvent] | None = None,
     amplify_iter: int | None = None,
 ) -> ReplayWorkload:
     if events is None:
-        events = market_events(seed, count, key_bits=key_bits, iter_depth=best_window)
+        events = market_events(seed, count, key_bits=KEY_BITS)
     family = "replay"
     if amplify_iter is not None:
-        events = amplify(events, amplify_iter, ITER)
+        events = amplify(events, amplify_iter)
         family = "replay-iter"
-    return ReplayWorkload(family, events, key_bits, max_size, best_window)
+    return ReplayWorkload(family, events, max_size)
 
 
 def _map_factory(structure: str, workload: SynthWorkload) -> Callable[[], object]:
     if structure == GLASS:
         return lambda: create(
-            key_bits=workload.key_bits,
+            key_bits=KEY_BITS,
             chunk_bits=5,
             width=32,
             max_size=workload.max_size,
@@ -123,8 +118,8 @@ def _book_factory(structure: str, workload: ReplayWorkload) -> Callable[[], dict
     def glass_pair():
         kw = dict(
             max_size=workload.max_size,
-            best_window=workload.best_window,
-            key_bits=workload.key_bits,
+            best_window=BEST_WINDOW,
+            key_bits=KEY_BITS,
             chunk_bits=5,
             width=32,
         )
@@ -212,36 +207,45 @@ def _run_synth(structure: str, w: SynthWorkload, copies: int, iterations: int):
     return elapsed, ops_applied
 
 
+def _fold(acc: int, answer) -> int:
+    """``acc`` with one answer folded in: None, a bool, an int (a found
+    value or a price) or a list of (price, amount) pairs."""
+    if answer is None:
+        return acc * 3 & _MASK64
+    if answer is True or answer is False:
+        return (acc * 3 + answer) & _MASK64
+    if isinstance(answer, list):
+        for price, amount in answer:
+            acc = (acc * 3 + price + amount) & _MASK64
+        return acc
+    return (acc * 3 + answer + 1) & _MASK64
+
+
 def _synth_checksum(structure: str, w: SynthWorkload) -> int:
     s = _map_factory(structure, w)()
-    acc = 0
     if w.family == "insert":
-        for p in w.prices:
-            acc = (acc * 3 + s.insert(p, p & 0xFFFF)) & _MASK64
-    elif w.family == "erase":
-        _fill(s, w.prices)
-        for p in w.prices:
-            acc = (acc * 3 + s.erase(p)) & _MASK64
+        answers = [s.insert(p, p & 0xFFFF) for p in w.prices]
     else:
         _fill(s, w.prices)
-        queries = w.prices if w.family == "find-e" else w.queries
-        for q in queries:
-            v = s.find(q)
-            acc = (acc * 3 + (v + 1 if v is not None else 0)) & _MASK64
-    return acc
+        if w.family == "erase":
+            answers = [s.erase(p) for p in w.prices]
+        else:
+            queries = w.prices if w.family == "find-e" else w.queries
+            answers = [s.find(q) for q in queries]
+    return reduce(_fold, answers, 0)
 
 
 def _apply_event(books: dict, ev: MarketEvent):
+    """Apply one event to its side and return the book's answer."""
     book = books[ev.side]
     op = ev.op
     if op == ADJUST:
-        book.adjust(ev.price, ev.delta)
-    elif op == BEST:
-        book.best()
-    elif op == ITER:
-        book.iterate_best(ev.depth)
-    elif op == NEXT_BEST:
-        book.next_best_after(ev.price)
+        return book.adjust(ev.price, ev.delta)
+    if op == BEST:
+        return book.best()
+    if op == ITER:
+        return book.iterate_best(ev.depth)
+    return book.next_best_after(ev.price)
 
 
 def _run_replay(structure: str, w: ReplayWorkload, copies: int, iterations: int):
@@ -263,21 +267,7 @@ def _run_replay(structure: str, w: ReplayWorkload, copies: int, iterations: int)
 
 def _replay_checksum(structure: str, w: ReplayWorkload) -> int:
     books = _book_factory(structure, w)()
-    acc = 0
-    for ev in w.events:
-        book = books[ev.side]
-        if ev.op == ADJUST:
-            book.adjust(ev.price, ev.delta)
-        elif ev.op == BEST:
-            best = book.best()
-            acc = (acc * 3 + (best + 1 if best is not None else 0)) & _MASK64
-        elif ev.op == ITER:
-            for price, amount in book.iterate_best(ev.depth):
-                acc = (acc * 3 + price + amount) & _MASK64
-        elif ev.op == NEXT_BEST:
-            nb = book.next_best_after(ev.price)
-            acc = (acc * 3 + (nb + 1 if nb is not None else 0)) & _MASK64
-    return acc
+    return reduce(_fold, (_apply_event(books, ev) for ev in w.events), 0)
 
 
 def run_bench(
@@ -301,23 +291,6 @@ def run_bench(
     return BenchResult(
         structure, workload.family, copies, iterations, ops_applied, elapsed, checksum
     )
-
-
-def best_of(
-    structure: str,
-    workload: SynthWorkload | ReplayWorkload,
-    copies: int,
-    iterations: int | None = None,
-    reps: int = 5,
-) -> BenchResult:
-    """Fastest of ``reps`` identical runs.
-
-    Interpreter timing on a shared machine is noisy in one direction
-    only (preemption, frequency dips), so the minimum is the honest
-    estimate of the structure's cost.
-    """
-    results = [run_bench(structure, workload, copies, iterations) for _ in range(reps)]
-    return min(results, key=lambda r: r.ns_per_op)
 
 
 @dataclass(frozen=True)
@@ -353,7 +326,7 @@ def ratio_sweep(
         }
         sums = {r.checksum for r in results.values()}
         if len(sums) != 1:
-            raise AssertionError(
+            raise IntegrityError(
                 f"checksum mismatch across structures at copies={copies}: "
                 + ", ".join(f"{s}={r.checksum}" for s, r in results.items())
             )
@@ -361,8 +334,13 @@ def ratio_sweep(
     return rows
 
 
-def write_ratio_csv(rows: list[RatioRow], path: str, family: str = ""):
+def ratio_csv(rows: list[RatioRow]) -> str:
+    """The ratio-vs-copies table as CSV text, header first."""
+    lines = ["copies,glass_ns_per_op,rbt_ns_per_op,ratio_vs_rbt"]
+    lines += [f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.ratio_rbt:.3f}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_ratio_csv(rows: list[RatioRow], path: str):
     with open(path, "w") as f:
-        f.write("copies,glass_ns_per_op,rbt_ns_per_op,ratio_vs_rbt\n")
-        for r in rows:
-            f.write(f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.ratio_rbt:.3f}\n")
+        f.write(ratio_csv(rows))

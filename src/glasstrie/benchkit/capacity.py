@@ -8,6 +8,8 @@ from ..bitops import TrieGeometry
 from ..nodepool import CapacityModel, capacity_bound_for_size
 
 NOT_ADDRESSABLE = "N/A"
+#: the paper's geometry: 50-bit prices in 5-bit chunks
+GEOMETRY = TrieGeometry(key_bits=50, chunk_bits=5)
 
 
 def format_bytes(count: int) -> str:
@@ -27,13 +29,8 @@ class CapacityRow:
     memory: str  # formatted, or "N/A" when handles cannot address the bound
 
 
-def capacity_report(
-    sizes: list[int],
-    width: int = 16,
-    key_bits: int = 50,
-    chunk_bits: int = 5,
-) -> list[CapacityRow]:
-    model = CapacityModel(TrieGeometry(key_bits, chunk_bits), width=width)
+def capacity_report(sizes: list[int], width: int = 16) -> list[CapacityRow]:
+    model = CapacityModel(GEOMETRY, width=width)
     rows = []
     for size in sizes:
         bound = capacity_bound_for_size(size, model)

@@ -11,33 +11,37 @@ from __future__ import annotations
 
 import random
 
-from ..oracle import geometric_step
+from ..oracle import STEP_P, geometric_step, walk_step
 from .events import ADJUST, ASK, BEST, BID, ITER, MarketEvent
+
+#: a market stream's touch sits this many ticks either side of its mid
+SPREAD = 4
+#: live levels per side above which a market stream stops adding levels
+LEVELS_TARGET = 150
+#: share of a market stream's events that are queries, half best and
+#: half iteration
+QUERY_RATE = 0.08
 
 
 def local_price_sequence(
     seed: int,
     count: int,
     key_bits: int = 50,
-    start: int | None = None,
-    step_p: float = 0.2752,
+    step_p: float = STEP_P,
 ) -> list[int]:
-    """``count`` distinct prices from a small-step random walk.
+    """``count`` distinct prices from a small-step random walk that
+    starts mid-range.
 
     Revisited prices are skipped by extending the walk, so successive
     outputs are close but never equal and never repeat an old price.
     """
     rng = random.Random(seed)
     hi = (1 << key_bits) - 1
-    price = start if start is not None else hi // 2
+    price = hi // 2
     seen = {price}
     out = [price]
     while len(out) < count:
-        while True:
-            step = geometric_step(rng, step_p)
-            if 0 <= price + step <= hi:
-                price += step
-                break
+        price = walk_step(rng, price, hi, step_p)
         if price not in seen:
             seen.add(price)
             out.append(price)
@@ -67,45 +71,37 @@ def absent_neighbors(prices: list[int], key_bits: int = 50) -> list[int]:
     return out
 
 
-def market_events(
-    seed: int,
-    count: int,
-    key_bits: int = 50,
-    start: int | None = None,
-    spread: int = 4,
-    levels_target: int = 150,
-    iter_depth: int = 25,
-    query_rate: float = 0.08,
-) -> list[MarketEvent]:
+def market_events(seed: int, count: int, key_bits: int = 50) -> list[MarketEvent]:
     """Two-sided event stream shaped like recorded feed data.
 
-    A mid price random-walks; adjusts land geometrically close to the
-    touch of a random side (edge locality), removals balance additions
-    around ``levels_target`` live levels per side, and best/iterate
-    queries are sprinkled in at ``query_rate``.
+    A mid price random-walks from mid-range; adjusts land geometrically
+    close to the touch of a random side (edge locality), removals
+    balance additions around ``LEVELS_TARGET`` live levels per side, and
+    best/iterate queries (iterations at the default depth) are sprinkled
+    in at ``QUERY_RATE``.
     """
     rng = random.Random(seed)
     hi = (1 << key_bits) - 1
-    mid = start if start is not None else hi // 2
+    mid = hi // 2
     books = {BID: {}, ASK: {}}
     out: list[MarketEvent] = []
     while len(out) < count:
-        mid = min(max(mid + geometric_step(rng), spread + 1), hi - spread - 1)
+        mid = min(max(mid + geometric_step(rng), SPREAD + 1), hi - SPREAD - 1)
         side = BID if rng.random() < 0.5 else ASK
         book = books[side]
         r = rng.random()
-        if r < query_rate / 2:
+        if r < QUERY_RATE / 2:
             out.append(MarketEvent(BEST, side))
             continue
-        if r < query_rate:
-            out.append(MarketEvent(ITER, side, depth=iter_depth))
+        if r < QUERY_RATE:
+            out.append(MarketEvent(ITER, side))
             continue
         # price near the touch, on the passive side of the mid
         offset = abs(geometric_step(rng)) - 1
-        price = mid - spread - offset if side == BID else mid + spread + offset
+        price = mid - SPREAD - offset if side == BID else mid + SPREAD + offset
         price = min(max(price, 0), hi)
         have = book.get(price, 0)
-        crowded = len(book) >= levels_target
+        crowded = len(book) >= LEVELS_TARGET
         if have and (crowded or rng.random() < 0.45):
             delta = -have if rng.random() < 0.5 else -rng.randint(1, have)
         elif have:

@@ -20,6 +20,7 @@ import sys
 
 from .benchkit.bench import (
     SYNTH_FAMILIES,
+    ratio_csv,
     ratio_sweep,
     replay_workload,
     synth_workload,
@@ -44,12 +45,10 @@ def _parse_copies(text: str) -> list[int]:
 
 def _emit_rows(rows, out_path: str | None, family: str):
     if out_path:
-        write_ratio_csv(rows, out_path, family)
+        write_ratio_csv(rows, out_path)
         print(f"{family}: wrote {out_path}")
         return
-    print("copies,glass_ns_per_op,rbt_ns_per_op,ratio_vs_rbt")
-    for r in rows:
-        print(f"{r.copies},{r.glass_ns:.1f},{r.rbt_ns:.1f},{r.ratio_rbt:.3f}")
+    print(ratio_csv(rows), end="")
 
 
 def cmd_bench_synth(args) -> int:

@@ -33,9 +33,5 @@ class MalformedEvent(GlassError):
     """A market-event line could not be parsed."""
 
 
-class AmplifyModifying(GlassError):
-    """Amplification was requested for a modifying (non-read-only) operation."""
-
-
 class IntegrityError(GlassError):
     """A structure's internal invariants were found broken."""

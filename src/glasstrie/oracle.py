@@ -2,10 +2,11 @@
 
 ``RefMap`` is the ground truth for the ordered-map ADT: a dict plus a
 bisect-maintained sorted key list, slow but obviously correct. Traces
-of operations are generated deterministically from a seed, replayable
-from text files, and applied in lockstep to a glass and the reference;
-the first divergence is raised with full context. ``OracleBook`` is the
-reference book side: a ``BaselineBook`` over a RefMap.
+of operations are generated deterministically from a seed, so a seed
+is all it takes to replay one, and applied in lockstep to a glass and
+the reference; the first divergence is raised with full context.
+``OracleBook`` is the reference book side: a ``BaselineBook`` over a
+RefMap, which ``fuzz_orderbook`` drives beside a book of the same side.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .glass import Glass, create
 UNIFORM = "uniform"
 LOCAL = "local"
 
-#: trace op kinds, matching the one-letter file format
+#: trace op kinds
 OP_INSERT = "I"
 OP_ERASE = "E"
 OP_FIND = "F"
@@ -121,17 +122,27 @@ def _glass_apply(g: Glass, op: tuple):
     return ref_apply(g, op)
 
 
-def geometric_step(rng: random.Random, p: float = 0.2752) -> int:
-    """Nonzero symmetric step whose magnitude is geometric.
+#: the walks' default step parameter: about 80% of the steps have
+#: magnitude five or below, the tight clustering of successive market
+#: prices around each other
+STEP_P = 0.2752
 
-    The default parameter puts about 80% of the mass at magnitude five
-    or below, mimicking the tight clustering of successive market
-    prices around each other.
-    """
+
+def geometric_step(rng: random.Random, p: float = STEP_P) -> int:
+    """Nonzero symmetric step whose magnitude is geometric."""
     mag = 1
     while rng.random() >= p:
         mag += 1
     return mag if rng.random() < 0.5 else -mag
+
+
+def walk_step(rng: random.Random, key: int, hi: int, p: float = STEP_P) -> int:
+    """``key`` moved by one ``geometric_step``, the step redrawn until
+    the result stays in ``[0, hi]`` (the walk reflects at the edges)."""
+    while True:
+        step = geometric_step(rng, p)
+        if 0 <= key + step <= hi:
+            return key + step
 
 
 @dataclass
@@ -143,7 +154,6 @@ class OpTrace:
     length: int = 10_000
     key_bits: int = 16
     size_cap: int = 1024
-    step_p: float = 0.2752
     mix: tuple[float, float, float, float, float] = (0.34, 0.26, 0.16, 0.08, 0.16)
     #: cumulative weights for insert / erase / find / min+max / next+prev
 
@@ -174,12 +184,9 @@ def gen_ops(trace: OpTrace) -> TIterator[tuple]:
         nonlocal key
         if trace.shape == UNIFORM:
             key = rng.randint(0, hi)
-            return key
-        while True:
-            step = geometric_step(rng, trace.step_p)
-            if 0 <= key + step <= hi:
-                key += step
-                return key
+        else:
+            key = walk_step(rng, key, hi)
+        return key
 
     for i in range(trace.length):
         r = rng.random()
@@ -213,39 +220,6 @@ def gen_trace(seed: int, shape: str = LOCAL, length: int = 10_000, **kw) -> OpTr
     if shape not in (LOCAL, UNIFORM):
         raise MalformedEvent(f"unknown trace shape {shape!r}")
     return OpTrace(seed=seed, shape=shape, length=length, **kw)
-
-
-def trace_save(ops: Iterable[tuple], path: str, header: str = ""):
-    """Write ops in the line format ``I <key> <value>`` / ``E <key>`` /
-    ``F <key>`` / ``MIN`` / ``MAX`` / ``N <key>`` / ``P <key>``."""
-    with open(path, "w") as f:
-        if header:
-            f.write(f"# {header}\n")
-        for op in ops:
-            f.write(" ".join(str(x) for x in op) + "\n")
-
-
-def trace_load(path: str) -> list[tuple]:
-    ops = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            kind = parts[0]
-            try:
-                if kind == OP_INSERT:
-                    ops.append((kind, int(parts[1]), int(parts[2])))
-                elif kind in (OP_ERASE, OP_FIND, OP_NEXT, OP_PREV):
-                    ops.append((kind, int(parts[1])))
-                elif kind in (OP_MIN, OP_MAX):
-                    ops.append((kind,))
-                else:
-                    raise ValueError(f"unknown op {kind!r}")
-            except (IndexError, ValueError) as e:
-                raise MalformedEvent(f"{path}:{lineno}: {e}") from e
-    return ops
 
 
 @dataclass(frozen=True)
@@ -400,16 +374,16 @@ class OracleBook(BaselineBook):
 #: share of a book stream's adjusts that remove a whole edge level, the
 #: lowest or the highest price, so the best moves on either side
 EDGE_REMOVE_RATE = 0.05
+#: a book stream's prices lie in ``[0, 2**BOOK_KEY_BITS)``
+BOOK_KEY_BITS = 20
+#: a book stream's op mix: adjusts, next-best probes, best queries
+#: (``BEST_WEIGHT``) and iterations (the rest)
+ADJUST_WEIGHT = 0.62
+PROBE_WEIGHT = 0.10
+BEST_WEIGHT = 0.14
 
 
-def gen_book_ops(
-    seed: int,
-    length: int,
-    key_bits: int = 20,
-    adjust_weight: float = 0.62,
-    probe_weight: float = 0.10,
-    max_depth: int = 25,
-) -> TIterator[tuple]:
+def gen_book_ops(seed: int, length: int, max_depth: int = 25) -> TIterator[tuple]:
     """Deterministic market-like op stream for one book side.
 
     Yields ('A', price, delta) adjusts whose deltas are valid against
@@ -421,41 +395,32 @@ def gen_book_ops(
     remove the lowest or the highest level, half each.
     """
     rng = random.Random(seed)
-    hi = (1 << key_bits) - 1
+    hi = (1 << BOOK_KEY_BITS) - 1
     price = hi // 2
     amounts: dict[int, int] = {}
-
-    def walk() -> int:
-        nonlocal price
-        while True:
-            step = geometric_step(rng)
-            if 0 <= price + step <= hi:
-                price += step
-                return price
-
     for _ in range(length):
         r = rng.random()
-        if r < adjust_weight or not amounts:
+        if r < ADJUST_WEIGHT or not amounts:
             if amounts and rng.random() < EDGE_REMOVE_RATE:
-                p = min(amounts) if rng.random() < 0.5 else max(amounts)
-                yield ("A", p, -amounts.pop(p))
+                edge = min(amounts) if rng.random() < 0.5 else max(amounts)
+                yield ("A", edge, -amounts.pop(edge))
                 continue
-            p = walk()
-            have = amounts.get(p, 0)
+            price = walk_step(rng, price, hi)
+            have = amounts.get(price, 0)
             if have and rng.random() < 0.45:
                 delta = -have if rng.random() < 0.6 else -rng.randint(1, have)
             else:
                 delta = rng.randint(1, 50)
             new_amount = have + delta
             if new_amount == 0:
-                del amounts[p]
+                del amounts[price]
             else:
-                amounts[p] = new_amount
-            yield ("A", p, delta)
-        elif r < adjust_weight + probe_weight:
+                amounts[price] = new_amount
+            yield ("A", price, delta)
+        elif r < ADJUST_WEIGHT + PROBE_WEIGHT:
             pool = list(amounts)
             yield ("NB", pool[rng.randrange(len(pool))])
-        elif r < adjust_weight + probe_weight + 0.14:
+        elif r < ADJUST_WEIGHT + PROBE_WEIGHT + BEST_WEIGHT:
             yield ("B",)
         else:
             yield ("T", rng.randint(1, max_depth))
@@ -491,13 +456,12 @@ def _fast_partition_check(book, oracle: OracleBook):
 
 def fuzz_orderbook(
     book,
-    side: str,
     ops: Iterable[tuple],
     check_every: int = 1,
     deep_every: int | None = None,
 ) -> int:
-    """Drive a book and the oracle in lockstep; raise IntegrityError on
-    any mismatch, also under ``python -O``.
+    """Drive a book and an oracle of the book's side in lockstep; raise
+    IntegrityError on any mismatch, also under ``python -O``.
 
     The partition invariant is checked every ``check_every`` ops in its
     constant-cost form; the full walking check, the partition's and the
@@ -511,7 +475,7 @@ def fuzz_orderbook(
     """
     if deep_every is None:
         deep_every = check_every
-    oracle = OracleBook(side)
+    oracle = OracleBook(book.side)
     too_far = 0
     cap = book.max_size
     window = book.best_window

@@ -128,9 +128,12 @@ class OrderBook:
 
     def insert(self, price: int, amount: int):
         """Place a level not currently in the book; a price outside
-        ``[0, 2**key_bits)`` raises InvalidArgument."""
+        ``[0, 2**key_bits)`` or an amount that is not positive raises
+        InvalidArgument, with the book unchanged."""
         if not 0 <= price < self._price_limit:
             raise InvalidArgument(f"price {price} is outside [0, {self._price_limit})")
+        if amount <= 0:
+            raise InvalidArgument(f"level {price} given amount {amount}, not a positive one")
         if self._better_than_threshold(price):
             glass = self.glass
             if glass.size < self.max_size:

@@ -240,7 +240,7 @@ def test_07_orderbook_differential_fuzz():
                     seed=900 + max_size, length=100_000, max_depth=window
                 )
                 trips = fuzz_orderbook(
-                    book, side, ops, check_every=1, deep_every=1000
+                    book, ops, check_every=1, deep_every=1000
                 )
                 trips_by_run[(max_size, side)] = trips
         # tiny glasses must actually exercise the too-far guard
@@ -312,15 +312,15 @@ def test_09_performance(tmp_path):
             w = synth_workload(family, seed=17, count=512)
             rows = ratio_sweep(w, range(1, 33), iterations=4)
             path = tmp_path / f"synth_{family.replace('-', '_')}.csv"
-            write_ratio_csv(rows, str(path), family)
+            write_ratio_csv(rows, str(path))
             rows_written[family] = rows
         replay = replay_workload(seed=23, count=1500, max_size=256)
         rows = ratio_sweep(replay, range(1, 33), iterations=1)
-        write_ratio_csv(rows, str(tmp_path / "replay.csv"), "replay")
+        write_ratio_csv(rows, str(tmp_path / "replay.csv"))
         rows_written["replay"] = rows
         amplified = replay_workload(seed=23, count=1500, max_size=256, amplify_iter=100)
         rows = ratio_sweep(amplified, range(1, 33), iterations=1)
-        write_ratio_csv(rows, str(tmp_path / "replay_iter.csv"), "replay-iter")
+        write_ratio_csv(rows, str(tmp_path / "replay_iter.csv"))
         rows_written["replay-iter"] = rows
         for family, rows in rows_written.items():
             assert len(rows) == 32, family

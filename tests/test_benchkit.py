@@ -30,7 +30,7 @@ from glasstrie.benchkit.probability import (
     simulate_dunno_absent,
 )
 from glasstrie.benchkit.synth import absent_neighbors, local_price_sequence, market_events
-from glasstrie.errors import AmplifyModifying, ConfigError, MalformedEvent
+from glasstrie.errors import ConfigError, MalformedEvent
 
 
 class TestEvents:
@@ -144,10 +144,6 @@ class TestAmplify:
         ]
         out = amplify(events, 1)
         assert out == [MarketEvent(ADJUST, "B", 10, 1), MarketEvent(ITER, "B")]
-
-    def test_modifying_target_rejected(self):
-        with pytest.raises(AmplifyModifying):
-            amplify([], 10, ADJUST)
 
     def test_preserves_modifying_subsequence(self):
         events = market_events(seed=6, count=2000, key_bits=24)
@@ -443,6 +439,30 @@ class TestCli:
             "--ops", "64", "--iterations", "1", "--out", str(out),
         ]) == 0
         assert runs == [31, 31, 32, 32]
+
+    def test_checksum_mismatch_is_reported(self, tmp_path, capsys, monkeypatch):
+        from glasstrie.benchkit import bench
+        from glasstrie.cli import main
+
+        real_run_bench = bench.run_bench
+
+        def skewed_run_bench(structure, workload, copies, iterations=None):
+            r = real_run_bench(structure, workload, copies, iterations)
+            if structure == bench.GLASS:
+                r = bench.BenchResult(r.structure, r.family, r.copies, r.iterations,
+                                      r.ops_applied, r.elapsed_ns, r.checksum + 1)
+            return r
+
+        monkeypatch.setattr(bench, "run_bench", skewed_run_bench)
+        out = tmp_path / "r.csv"
+        rc = main([
+            "bench", "synth", "--op", "find-e", "--copies", "1",
+            "--ops", "64", "--iterations", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checksum mismatch" in err
+        assert not out.exists()
 
     def test_bad_model_and_factor_arguments_exit_2(self, tmp_path, capsys):
         from glasstrie.cli import main

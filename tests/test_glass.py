@@ -132,6 +132,20 @@ class TestBasicOps:
             it = g.iter_prev(it)
         assert out == keys[::-1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(st.integers(0, 255), max_size=60, unique=True))
+    def test_first_items_partial_walks(self, keys):
+        # four levels of 2-bit chunks: a partial walk stops inside a
+        # pre-leaf, after a climb of one to three levels, or at the end
+        g = create(key_bits=8, chunk_bits=2, width=16, max_size=64)
+        ref = RefMap()
+        for k in keys:
+            g.insert(k, k * 3)
+            ref.insert(k, k * 3)
+        for count in range(len(keys) + 2):
+            for descending in (False, True):
+                assert g.first_items(count, descending) == ref.first_items(count, descending)
+
 
 class TestOutOfRangeKeys:
     #: keys outside [0, 2**16): each once answered with a stored or an

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import statistics
 
 import pytest
 
+from glasstrie.benchkit.synth import absent_neighbors, local_price_sequence, market_events
 from glasstrie.cachetable import DONT_KNOW
 from glasstrie.errors import IntegrityError, MalformedEvent
 from glasstrie.oracle import (
@@ -16,11 +18,10 @@ from glasstrie.oracle import (
     RefMap,
     all_feature_configs,
     fuzz_run,
+    gen_book_ops,
     gen_trace,
     geometric_step,
     ref_apply,
-    trace_load,
-    trace_save,
 )
 
 
@@ -144,23 +145,34 @@ class TestTraceGeneration:
             gen_trace(1, "zipf", 10)
 
 
-class TestTraceFiles:
-    def test_round_trip(self, tmp_path):
-        ops = gen_trace(11, LOCAL, 500).materialize()
-        path = tmp_path / "trace.txt"
-        trace_save(ops, path, header="seed=11 local")
-        assert trace_load(path) == ops
+def _market_tuples(events):
+    return [(e.op, e.side, e.price, e.delta, e.depth) for e in events]
 
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("# hello\n\nI 5 50\nMIN\nN 5\n")
-        assert trace_load(path) == [("I", 5, 50), ("MIN",), ("N", 5)]
 
-    def test_malformed_line_reports_location(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("I 5 50\nQ 1\n")
-        with pytest.raises(MalformedEvent, match="bad.txt:2"):
-            trace_load(path)
+#: the first 16 hex digits of sha256(repr(list(stream))) for streams the
+#: fuzz gates and criterion 9 read; a change to a generator's draws or
+#: defaults moves them
+STREAM_DIGESTS = {
+    "local-trace": (lambda: gen_trace(101, LOCAL, 5000, key_bits=16, size_cap=1024),
+                    "017a76b470ba992f"),
+    "uniform-trace": (lambda: gen_trace(202, UNIFORM, 5000, key_bits=16, size_cap=1024),
+                      "1506d611983a134a"),
+    "book-ops": (lambda: gen_book_ops(seed=964, length=5000, max_depth=25),
+                 "d2f3dc2fd9f5f006"),
+    "market-events": (lambda: _market_tuples(market_events(23, 1500, key_bits=50)),
+                      "ae645ed66861ee2e"),
+    "price-sequence": (lambda: local_price_sequence(17, 2048, key_bits=50),
+                       "eaef4baca3326b64"),
+    "absent-neighbors": (lambda: absent_neighbors(local_price_sequence(17, 512, key_bits=50),
+                                                  key_bits=50),
+                         "8a370b973b6a7efa"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_stream_digest_is_pinned(name):
+    stream, digest = STREAM_DIGESTS[name]
+    assert hashlib.sha256(repr(list(stream())).encode()).hexdigest()[:16] == digest
 
 
 class _BrokenMap:

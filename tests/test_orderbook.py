@@ -123,6 +123,44 @@ class TestAdjust:
                 book.adjust(price, 0)
         assert book.levels() == [(100, 5)]
 
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_insert_refuses_non_positive_amount(self, side):
+        book = make(side, max_size=4)
+        for price, amount in ((100, 0), (101, -5)):
+            with pytest.raises(InvalidArgument):
+                book.insert(price, amount)
+        assert len(book) == 0 and book.iterate_best(3) == []
+        # at a full glass a better price would preempt; it must not
+        for p in (10, 11, 12, 13, 20):
+            book.adjust(p, 1)
+        state = (book.levels(), book.threshold, book.glass.dump())
+        for price in (5, 15, 30):
+            for amount in (0, -5):
+                with pytest.raises(InvalidArgument):
+                    book.insert(price, amount)
+        assert (book.levels(), book.threshold, book.glass.dump()) == state
+        book.check_invariants()
+
+    def test_non_positive_amount_refused_under_optimize(self, run_optimized):
+        # asserts vanish under python -O; the check must not
+        code = (
+            "from glasstrie import InvalidArgument, OrderBook\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "book = OrderBook('min', max_size=4, best_window=3, key_bits=16,\n"
+            "                 chunk_bits=4, width=16)\n"
+            "for price, amount in ((100, 0), (101, -5)):\n"
+            "    try:\n"
+            "        book.insert(price, amount)\n"
+            "    except InvalidArgument:\n"
+            "        continue\n"
+            "    raise SystemExit(f'amount {amount} stored at {price}')\n"
+            "if len(book) or book.iterate_best(3):\n"
+            "    raise SystemExit(f'book changed: {book.levels()}')\n"
+            "book.check_invariants()\n"
+        )
+        run_optimized(code)
+
     def test_out_of_range_price_refused_under_optimize(self, run_optimized):
         # asserts vanish under python -O; the check must not
         code = (
@@ -562,7 +600,7 @@ class SevenBlindBook(OrderBook):
 
 book = SevenBlindBook(side, max_size=64, best_window=25, key_bits=20, chunk_bits=4, width=16)
 try:
-    fuzz_orderbook(book, side, gen_book_ops(seed=3, length=5000))
+    fuzz_orderbook(book, gen_book_ops(seed=3, length=5000))
 except IntegrityError:
     pass
 else:
@@ -576,7 +614,7 @@ class TestOracleFuzz:
     def test_stream_matches_oracle(self, side, max_size):
         book = make(side, max_size=max_size, key_bits=20)
         ops = gen_book_ops(seed=hash((side, max_size)) & 0xFFFF, length=8000)
-        trips = fuzz_orderbook(book, side, ops, check_every=1)
+        trips = fuzz_orderbook(book, ops, check_every=1)
         if max_size == 4:
             assert trips > 0  # tiny glass must exercise the guard
 
@@ -584,7 +622,7 @@ class TestOracleFuzz:
     def test_wrong_best_is_reported(self, side):
         book = make(side, max_size=64, key_bits=20, cls=SevenBlindBook)
         with pytest.raises(IntegrityError):
-            fuzz_orderbook(book, side, gen_book_ops(seed=3, length=5000))
+            fuzz_orderbook(book, gen_book_ops(seed=3, length=5000))
 
     @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
     def test_wrong_best_is_reported_under_optimize(self, side, run_optimized):
