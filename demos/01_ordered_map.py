@@ -15,20 +15,16 @@ for price, amount in [(100_000, 7), (100_003, 2), (99_998, 11)]:
 print("size:", len(g))
 print("find(100_003):", g.find(100_003))
 print("find(123):", g.find(123))
-print("min:", g.min().key, " max:", g.max().key)
+print("min:", g.min(), " max:", g.max())
 print("next(100_000):", g.next(100_000), " prev(100_000):", g.prev(100_000))
 
-print("\n== iterators are (pre-leaf handle, key) pairs ==")
-it = g.min()
-while it is not None:
-    print(f"  {it.key} -> {g.value_at(it)}   (pre-leaf {it.preleaf})")
-    it = g.iter_next(it)
-
-print("\n== compressed iterators ==")
-# The cache table stores each pre-leaf's key prefix, so an
-# iterator shrinks to (handle, final chunk) and still round-trips.
-cit = g.compress(g.min())
-print("compressed:", cit, "->", g.decompress(cit))
+print("\n== ordered walks ==")
+# first_items walks from either end in one call; next steps by key
+print("first two:", g.first_items(2), " last two:", g.first_items(2, descending=True))
+key = g.min()
+while key is not None:
+    print(f"  {key} -> {g.find(key)}")
+    key = g.next(key)
 
 print("\n== the cached path at work ==")
 g2 = create(key_bits=50, chunk_bits=5, width=16, max_size=9000)

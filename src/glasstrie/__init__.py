@@ -2,8 +2,8 @@
 
 The core structure (:class:`~glasstrie.glass.Glass`) is an ordered map
 over fixed-width integer keys with a cached root path, an intrusive
-bounded-probe cache table, min/max iterators kept current by every
-update, and a trash-encoded node pool. On top of it,
+bounded-probe cache table, min/max edges kept current by every update,
+and a trash-encoded node pool. On top of it,
 :class:`~glasstrie.orderbook.OrderBook` keeps one book side within a
 fixed memory budget via preemption and restructuring. The ``benchkit``
 subpackage measures all of it against red-black-tree baselines.
@@ -21,7 +21,7 @@ from .errors import (
     PoolExhausted,
     PriceTooFar,
 )
-from .glass import CompressedIterator, Glass, Iterator, create
+from .glass import Glass, create
 from .nodepool import CapacityModel, Pool, capacity_bound_for_size, max_size_for_capacity
 from .orderbook import MAX_SIDE, MIN_SIDE, OrderBook
 
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityModel",
-    "CompressedIterator",
     "ConfigError",
     "DivisionPlan",
     "Glass",
@@ -37,7 +36,6 @@ __all__ = [
     "GlassFull",
     "IntegrityError",
     "InvalidArgument",
-    "Iterator",
     "MalformedEvent",
     "MAX_SIDE",
     "MIN_SIDE",

@@ -98,6 +98,9 @@ def replay_workload(
     if amplify_iter is not None:
         events = amplify(events, amplify_iter)
         family = "replay-iter"
+    if not events:
+        # a timed pass over nothing would report loop overhead as ns/op
+        raise ConfigError(f"no {family} events to replay")
     return ReplayWorkload(family, events, max_size)
 
 

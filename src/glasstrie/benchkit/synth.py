@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from ..errors import InvalidArgument
 from ..oracle import STEP_P, geometric_step, walk_step
 from .events import ADJUST, ASK, BEST, BID, ITER, MarketEvent
 
@@ -33,8 +34,11 @@ def local_price_sequence(
     starts mid-range.
 
     Revisited prices are skipped by extending the walk, so successive
-    outputs are close but never equal and never repeat an old price.
+    outputs are close but never equal and never repeat an old price. A
+    ``count`` below 1 raises InvalidArgument.
     """
+    if count < 1:
+        raise InvalidArgument(f"price count must be at least 1, got {count}")
     rng = random.Random(seed)
     hi = (1 << key_bits) - 1
     price = hi // 2

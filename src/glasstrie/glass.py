@@ -1,37 +1,32 @@
 """The glass: a trie-based ordered map over fixed-width integer keys.
 
-Supports insert / erase / find / min / max / next / prev plus iterator
-stepping, with three accelerators that never change observable results:
+Supports insert / erase / find / min / max / next / prev, with three
+accelerators that never change observable results:
 
 * a cached root path to the last inserted key, so a descent can start
   at the deepest ancestor shared with the new key instead of the root,
   and a lookup in its pre-leaf needs neither probe nor descent;
 * a cache table mapping key-prefixes to pre-leaf handles, giving most
   lookups a single hash probe instead of a descent;
-* cached min/max iterators, kept current by every insert and erase.
+* cached min/max edges, kept current by every insert and erase.
 
 Keys are consumed in chunk_bits slices from the most significant end;
 nodes on the last level ("pre-leafs") hold one mask bit and one value
 slot per possible final chunk, so the conceptual leaf level is never
 materialized. Every node has one row of fanout slots in the pool: an
 inner node's hold child handles, a pre-leaf's hold values, and a clear
-slot holds None in either. An iterator is just (pre-leaf handle, full
-key). The glass builds its iterators with
-``tuple.__new__(Iterator, ...)``, which skips the NamedTuple's
-Python-level ``__new__`` (best of 21 interleaved rounds on a shared
-2-CPU Xeon, CPython 3.11.7: 381 ns through the constructor, 192 ns
-through ``tuple.__new__``); the type and its constructor are unchanged
-for callers.
+slot holds None in either. An edge is a private (pre-leaf handle, key)
+tuple; the glass hands out keys and values only, since a handle kept
+across an update can name a reused pre-leaf.
 
-``locate`` and ``erase`` resolve a key's pre-leaf through
-``_preleaf_of``: first the pre-leaf that ends a whole cached path, when
-the key differs from ``last_key`` only in its last chunk (no probe);
-then the cache table; on a don't-know, the descent.
+``erase`` resolves a key's pre-leaf through ``_preleaf_of``: first the
+pre-leaf that ends a whole cached path, when the key differs from
+``last_key`` only in its last chunk (no probe); then the cache table;
+on a don't-know, the descent.
 Over 100k events of perfbench's seed 7 feeds (a spy counting the calls
 whose first test holds), 79.7% of 27,328 calls end at the first step on
 book-feed, 87.1% of 23,351 on book-spill and 3 of 19,480 on
-map-uniform. Every erase goes by key: nothing removes an element
-through an iterator, which could be stale.
+map-uniform. Every erase goes by key.
 ``split_off(key, above)`` removes one whole side of a key in one cut:
 a walk up the key's path detaches every subtree beyond it, trims the
 cut pre-leaf, frees all the nodes in one ``Pool.deallocate_many`` call
@@ -72,38 +67,18 @@ measured slower:
   9's estimator, median of 20 interleaved rounds on a shared 2-CPU
   Xeon, CPython 3.11.7) fell from 1.53 to 1.01, below 1.0 in 8 rounds
   of 20 rather than 1. On a don't-know it goes straight to
-  ``_descend``, so the chain is walked once. ``locate`` and ``erase``
-  keep using ``_preleaf_of``.
+  ``_descend``, so the chain is walked once. ``erase`` keeps using
+  ``_preleaf_of``.
 """
 
 from __future__ import annotations
 
 from operator import gt as _gt, lt as _lt
-from typing import NamedTuple
 
 from .bitops import TrieGeometry, WORD_BITS
 from .cachetable import PROBE_LIMIT, CacheTable, _HASH_MULT, _MASK64
 from .errors import ConfigError, GlassFull, IntegrityError, InvalidArgument
 from .nodepool import CapacityModel, Pool, capacity_bound_for_size, max_size_for_capacity
-
-
-class Iterator(NamedTuple):
-    """Position of one stored element: its pre-leaf and its full key."""
-
-    preleaf: int
-    key: int
-
-
-class CompressedIterator(NamedTuple):
-    """Iterator squeezed to a handle plus the key's final chunk; the
-    rest of the key is recovered from the pre-leaf's stored prefix."""
-
-    preleaf: int
-    low_bits: int
-
-
-#: builds an Iterator without the NamedTuple's Python-level ``__new__``
-_new = tuple.__new__
 
 
 class Glass:
@@ -143,8 +118,8 @@ class Glass:
         self.last_key = 0
         self.rho = [0] * geo.levels
         self.path_len = 0
-        # edge cache: Iterator of the least and greatest key, None
-        # exactly when the glass is empty
+        # edge cache: (pre-leaf, key) of the least and greatest key,
+        # None exactly when the glass is empty
         self._first = None
         self._last = None
         # flat bindings for the hot paths (list identities are stable:
@@ -206,7 +181,8 @@ class Glass:
             depth += 1
         return node, depth, offset
 
-    def _climb(self, node: int, depth: int, offset: int, key: int, forward: bool) -> Iterator | None:
+    def _climb(self, node: int, depth: int, offset: int, key: int,
+               forward: bool) -> tuple[int, int] | None:
         """Strict successor (forward) or predecessor of ``key``, searched
         from ``node``, the depth-``depth`` node on ``key``'s path whose
         chunk sits at ``offset``: scan its mask beyond the key's chunk,
@@ -232,15 +208,15 @@ class Glass:
         branch = (m & -m).bit_length() - 1 if forward else m.bit_length() - 1
         prefix = (key & ~((1 << (offset + c_bits)) - 1)) | (branch << offset)
         if depth == self._lastdepth:
-            return _new(Iterator, (node, prefix))
+            return node, prefix
         child = self._slots[node * self._fanout + branch]
         return self._edge_from(child, depth + 1, prefix, forward)
 
-    def _edge_from(self, node: int, depth: int, key_prefix: int, forward: bool) -> Iterator:
-        """Iterator of the least (forward) or greatest key under ``node``,
-        the depth-``depth`` node whose key bits above its chunk are
-        ``key_prefix``: follow the lowest or highest set bit down to the
-        pre-leaf."""
+    def _edge_from(self, node: int, depth: int, key_prefix: int, forward: bool) -> tuple[int, int]:
+        """(pre-leaf, key) of the least (forward) or greatest key under
+        ``node``, the depth-``depth`` node whose key bits above its chunk
+        are ``key_prefix``: follow the lowest or highest set bit down to
+        the pre-leaf."""
         mask = self._mask
         slots = self._slots
         fanout = self._fanout
@@ -252,7 +228,7 @@ class Glass:
             c = (m & -m).bit_length() - 1 if forward else m.bit_length() - 1
             key_prefix |= c << offset
             if depth == last:
-                return _new(Iterator, (node, key_prefix))
+                return node, key_prefix
             node = slots[node * fanout + c]
             offset -= c_bits
             depth += 1
@@ -313,9 +289,9 @@ class Glass:
                 slots[node * fanout + c] = value
                 self.size += 1
                 if key < self._first[1]:
-                    self._first = _new(Iterator, (node, key))
+                    self._first = (node, key)
                 elif key > self._last[1]:
-                    self._last = _new(Iterator, (node, key))
+                    self._last = (node, key)
                 return True
 
         # the descent stopped at ``depth``; rho[0..depth] describes this key
@@ -355,10 +331,10 @@ class Glass:
         self.path_len = self._levels
         first = self._first
         if first is None or key < first[1]:
-            self._first = _new(Iterator, (parent, key))
+            self._first = (parent, key)
         lastit = self._last
         if lastit is None or key > lastit[1]:
-            self._last = _new(Iterator, (parent, key))
+            self._last = (parent, key)
         return True
 
     def insert_sorted(self, keys: list[int], value) -> int:
@@ -448,10 +424,10 @@ class Glass:
             start, preleaf = preleaf, start
         first = self._first
         if first is None or lo < first[1]:
-            self._first = _new(Iterator, (start, lo))
+            self._first = (start, lo)
         lastit = self._last
         if lastit is None or hi > lastit[1]:
-            self._last = _new(Iterator, (preleaf, hi))
+            self._last = (preleaf, hi)
         return self.size - size
 
     def find(self, key: int):
@@ -511,17 +487,6 @@ class Glass:
             return inv
         node, depth, _ = self._descend(key)
         return node if depth == self._lastdepth else inv
-
-    def locate(self, key: int) -> Iterator | None:
-        """Iterator of the stored ``key``, or None when it is absent.
-
-        Read-only: unlike :meth:`insert`, it leaves the cached path
-        where it was.
-        """
-        preleaf = self._preleaf_of(key)
-        if preleaf != self._invalid and (self._mask[preleaf] >> (key & self._nmask)) & 1:
-            return _new(Iterator, (preleaf, key))
-        return None
 
     def erase(self, key: int) -> bool:
         """Remove ``key``; True if it was present.
@@ -602,13 +567,13 @@ class Glass:
         # stopped, since every key outside that subtree lies beyond it
         if self._first[1] == key:
             if m:
-                self._first = _new(Iterator, (preleaf, key - c + ((m & -m).bit_length() - 1)))
+                self._first = (preleaf, key - c + ((m & -m).bit_length() - 1))
             else:
                 self._first = self._edge_from(parent, self._lastdepth - offset // c_bits,
                                               key & ~((1 << (offset + c_bits)) - 1), True)
         elif self._last[1] == key:
             if m:
-                self._last = _new(Iterator, (preleaf, key - c + (m.bit_length() - 1)))
+                self._last = (preleaf, key - c + (m.bit_length() - 1))
             else:
                 self._last = self._edge_from(parent, self._lastdepth - offset // c_bits,
                                              key & ~((1 << (offset + c_bits)) - 1), False)
@@ -735,13 +700,17 @@ class Glass:
             self._first = self._edge_from(self.root, 0, 0, True)
         return removed
 
-    def min(self) -> Iterator | None:
-        return self._first
+    def min(self) -> int | None:
+        """Least stored key, or None."""
+        first = self._first
+        return None if first is None else first[1]
 
-    def max(self) -> Iterator | None:
-        return self._last
+    def max(self) -> int | None:
+        """Greatest stored key, or None."""
+        last = self._last
+        return None if last is None else last[1]
 
-    def _neighbor(self, key: int, forward: bool) -> Iterator | None:
+    def _neighbor(self, key: int, forward: bool) -> tuple[int, int] | None:
         """Strict successor (forward) or predecessor of ``key``; the key
         itself need not be stored, nor lie in ``[0, 2**key_bits)``."""
         if self.root == self._invalid:
@@ -755,34 +724,19 @@ class Glass:
 
     def next(self, key: int) -> int | None:
         """Smallest stored key strictly greater than ``key``, or None."""
-        it = self._neighbor(key, True)
-        return None if it is None else it[1]
+        edge = self._neighbor(key, True)
+        return None if edge is None else edge[1]
 
     def prev(self, key: int) -> int | None:
         """Largest stored key strictly less than ``key``, or None."""
-        it = self._neighbor(key, False)
-        return None if it is None else it[1]
-
-    def iter_next(self, it: Iterator) -> Iterator | None:
-        """Successor element of a valid iterator.
-
-        Unlike :meth:`next`, no descent is needed: the iterator already
-        holds its pre-leaf, so the step scans that node's mask and only
-        climbs parents when the pre-leaf is exhausted.
-        """
-        return self._climb(it[0], self._lastdepth, 0, it[1], True)
-
-    def iter_prev(self, it: Iterator) -> Iterator | None:
-        return self._climb(it[0], self._lastdepth, 0, it[1], False)
-
-    def value_at(self, it: Iterator):
-        return self._slots[it[0] * self._fanout + (it[1] & self._nmask)]
+        edge = self._neighbor(key, False)
+        return None if edge is None else edge[1]
 
     def first_items(self, count: int, descending: bool = False) -> list[tuple[int, int]]:
         """Up to ``count`` (key, value) pairs from the ordered end.
 
         One call walks the whole range; this is the bulk form of
-        min()/iter_next(). The walk is inlined, not built on ``_climb``,
+        min()/next(). The walk is inlined, not built on ``_climb``,
         because the calls cost more than the walk (module docstring).
         """
         if count <= 0 or self.size == 0:
@@ -856,17 +810,6 @@ class Glass:
             node = up
             out.append((key, slots[node * fanout + (key & n_mask)]))
         return out
-
-    # -- compressed iterators -----------------------------------------
-
-    def compress(self, it: Iterator) -> CompressedIterator:
-        """Drop all key bits the pre-leaf can reconstruct from the key
-        prefix the cache table stores in it."""
-        return CompressedIterator(it.preleaf, it.key & self._nmask)
-
-    def decompress(self, cit: CompressedIterator) -> Iterator:
-        prefix = self._cache_key[cit.preleaf]
-        return _new(Iterator, (cit.preleaf, (prefix << self._cbits) | cit.low_bits))
 
     # -- introspection -------------------------------------------------
 
@@ -1010,16 +953,18 @@ def create(
     16 nodes and doubles with the live nodes under that cap, while the
     cache table is sized from the cap at once. Raises
     ``ConfigError`` when that bound exceeds what the handle width can
-    address, that is when ``max_size`` is above
-    ``max_size_for_capacity(model.addressable, model)`` (9211 for 50-bit
-    keys in 5-bit chunks at width 16).
+    address; the bound is monotone in ``max_size``, so that is when
+    ``max_size`` is above ``max_size_for_capacity(model.addressable,
+    model)`` (9211 for 50-bit keys in 5-bit chunks at width 16), which
+    is searched for only to word the error.
     """
     geo = TrieGeometry(key_bits=key_bits, chunk_bits=chunk_bits)
     model = CapacityModel(geo, width=width)
-    limit = max_size_for_capacity(model.addressable, model)
-    if max_size > limit:
+    bound = capacity_bound_for_size(max_size, model)
+    if bound > model.addressable:
+        limit = max_size_for_capacity(model.addressable, model)
         raise ConfigError(
             f"max_size {max_size} cannot fit {width}-bit handles (at most {limit})"
         )
-    pool = Pool(geo, width=width, max_capacity=capacity_bound_for_size(max_size, model))
+    pool = Pool(geo, width=width, max_capacity=bound)
     return Glass(geo, pool, max_size)

@@ -7,7 +7,7 @@ pre-leaf's hold values, so no node needs two rows. A blank slot, in
 either kind of node, is None. The top two values of the handle range
 stay reserved, as in the paper's layout: INVALID for "end / not
 found", and one the paper gives to spoiled cached iterators. The glass
-keeps its edge iterators current and never spoils one, but the second
+keeps its cached edges current and never spoils one, but the second
 value stays reserved all the same, because the capacity arithmetic
 (acceptance criteria 1 and 2) is pinned to 2**width - 2 nodes.
 

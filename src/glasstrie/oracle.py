@@ -113,15 +113,6 @@ def ref_apply(ref, op: tuple):
     raise MalformedEvent(f"unknown trace op {op!r}")
 
 
-def _glass_apply(g: Glass, op: tuple):
-    """``ref_apply`` for a glass, whose min and max answer iterators."""
-    kind = op[0]
-    if kind == OP_MIN or kind == OP_MAX:
-        it = g.min() if kind == OP_MIN else g.max()
-        return None if it is None else it.key
-    return ref_apply(g, op)
-
-
 #: the walks' default step parameter: about 80% of the steps have
 #: magnitude five or below, the tight clustering of successive market
 #: prices around each other
@@ -287,8 +278,9 @@ def fuzz_run(
     ``structure`` overrides the glass under test (harness self-tests);
     ``check_every`` > 0 additionally runs the full structural-integrity
     walk at that op interval and compares the cached edges with the
-    reference there. The ordered walks are compared with the reference
-    at each such point and after the last op.
+    reference there, as every MIN and MAX op does. The ordered walks
+    are compared with the reference at each such point and after the
+    last op.
     """
     size_cap = trace.size_cap if isinstance(trace, OpTrace) else None
     g = structure
@@ -301,21 +293,11 @@ def fuzz_run(
     i = -1
     for i, op in enumerate(trace):
         expected = ref_apply(ref, op)
-        got = _glass_apply(g, op)
+        got = ref_apply(g, op)
         if got != expected:
             raise Divergence(i, op, expected, got)
-        if op[0] == OP_FIND:
-            # locate must agree with find, and its iterator read back
-            it = g.locate(op[1])
-            located = None if it is None else (it.key, g.value_at(it))
-            if located != (None if expected is None else (op[1], expected)):
-                raise Divergence(i, ("locate", op[1]), expected, located)
-        if expected is not None and op[0] in (OP_MIN, OP_MAX):
-            # the key alone would pass an edge iterator on the wrong pre-leaf
-            it = g.min() if op[0] == OP_MIN else g.max()
-            if g.value_at(it) != ref.find(expected):
-                raise Divergence(i, op, (expected, ref.find(expected)),
-                                 (it.key, g.value_at(it)))
+        if op[0] == OP_MIN or op[0] == OP_MAX:
+            _check_edges(g, ref, i)
         if check_every and i % check_every == 0:
             g.check_integrity()
             _check_edges(g, ref, i)
@@ -324,31 +306,26 @@ def fuzz_run(
 
 
 def _check_walks(g: Glass, ref: RefMap, index: int):
-    """The (key, value) pairs of an ``iter_next`` walk from ``min()``, an
-    ``iter_prev`` walk from ``max()`` and ``first_items`` in both
-    directions against the reference's; raises the first mismatch."""
+    """``first_items`` over every element in both directions against the
+    reference's (key, value) pairs; raises the first mismatch."""
     for descending in (False, True):
         want = ref.first_items(len(ref), descending)
-        step = g.iter_prev if descending else g.iter_next
-        it = g.max() if descending else g.min()
-        walked = []
-        while it is not None and len(walked) <= len(want):
-            walked.append((it.key, g.value_at(it)))
-            it = step(it)
-        if walked != want:
-            raise Divergence(index, ("iter_prev" if descending else "iter_next",), want, walked)
-        bulk = g.first_items(len(g), descending)
-        if bulk != want:
-            raise Divergence(index, ("first_items", descending), want, bulk)
+        got = g.first_items(len(g), descending)
+        if got != want:
+            raise Divergence(index, ("first_items", descending), want, got)
 
 
 def _check_edges(g: Glass, ref: RefMap, index: int):
-    """The cached min and max hold the reference's edge keys and read
-    their values back (a key alone would pass a wrong pre-leaf); raises
-    the first mismatch."""
-    for name, it, key in (("min", g.min(), ref.min()), ("max", g.max(), ref.max())):
-        want = None if key is None else (key, ref.find(key))
-        got = None if it is None else (it.key, g.value_at(it))
+    """The ``min()`` and ``max()`` keys, each then with the one pair
+    ``first_items`` reads through the cached pre-leaf, against the
+    reference's; a key alone would pass an edge cached on a wrong
+    pre-leaf. Raises the first mismatch."""
+    for name, descending in (("min", False), ("max", True)):
+        want = getattr(ref, name)()
+        got = getattr(g, name)()
+        if got == want:
+            want = ref.first_items(1, descending)
+            got = g.first_items(1, descending)
         if got != want:
             raise Divergence(index, (name,), want, got)
 
@@ -443,9 +420,9 @@ def _fast_partition_check(book, oracle: OracleBook):
     if book.threshold is not None:
         if size:  # a drained glass with a set threshold is legal
             worst = glass.max() if book.side == "min" else glass.min()
-            if not book.better(worst.key, book.threshold):
+            if not book.better(worst, book.threshold):
                 raise IntegrityError(
-                    f"glass level {worst.key} does not beat threshold {book.threshold}"
+                    f"glass level {worst} does not beat threshold {book.threshold}"
                 )
         spill_best = oracle.iterate_best(size + 1)[size][0]
         if book.better(spill_best, book.threshold):

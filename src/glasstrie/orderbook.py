@@ -90,8 +90,7 @@ class OrderBook:
         return self.threshold is None or self.better(price, self.threshold)
 
     def _glass_best(self) -> int | None:
-        it = self.glass.min() if self.side == MIN_SIDE else self.glass.max()
-        return None if it is None else it.key
+        return self.glass.min() if self.side == MIN_SIDE else self.glass.max()
 
     def _glass_next_worse(self, price: int) -> int | None:
         if self.side == MIN_SIDE:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from glasstrie.benchkit.amplify import amplify
+from glasstrie.benchkit.baseline import RBMap
 from glasstrie.benchkit.bench import (
     default_iterations,
     ratio_sweep,
@@ -30,7 +31,8 @@ from glasstrie.benchkit.probability import (
     simulate_dunno_absent,
 )
 from glasstrie.benchkit.synth import absent_neighbors, local_price_sequence, market_events
-from glasstrie.errors import ConfigError, MalformedEvent
+from glasstrie.errors import ConfigError, InvalidArgument, MalformedEvent
+from glasstrie.glass import create
 
 
 class TestEvents:
@@ -62,6 +64,11 @@ class TestSynth:
         diffs = [abs(a - b) for a, b in zip(prices, prices[1:])]
         assert all(d > 0 for d in diffs)
         assert sorted(diffs)[len(diffs) // 2] <= 10
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_price_sequence_refuses_a_count_below_one(self, count):
+        with pytest.raises(InvalidArgument):
+            local_price_sequence(1, count)
 
     def test_absent_neighbors_absent_and_near(self):
         prices = local_price_sequence(seed=3, count=500, key_bits=30)
@@ -265,6 +272,14 @@ class TestBench:
         assert [r.copies for r in rows] == [1, 2]
         assert all(r.glass_ns > 0 for r in rows)
 
+    def test_replay_refuses_an_empty_workload(self):
+        with pytest.raises(ConfigError):
+            replay_workload(events=[])
+        # amplification keeps only adjusts and iterations
+        reads = [MarketEvent(BEST, "B"), MarketEvent("N", "A", 100)]
+        with pytest.raises(ConfigError):
+            replay_workload(events=reads, amplify_iter=5)
+
     def test_replay_families(self):
         w = replay_workload(seed=3, count=400, max_size=64)
         r = run_bench("glass", w, copies=1, iterations=1)
@@ -274,15 +289,20 @@ class TestBench:
         assert ra.family == "replay-iter"
 
 
+#: the ordered maps beside ``RefMap``, by test id; each answers the same ADT
+MAPS = {
+    "RBMap": RBMap,
+    "glass": lambda: create(key_bits=16, chunk_bits=4, max_size=4096),
+}
+
+
 class TestBaselines:
-    @pytest.mark.parametrize("factory_name", ["RBMap"])
+    @pytest.mark.parametrize("factory_name", sorted(MAPS))
     def test_against_reference_map(self, factory_name):
-        from glasstrie.benchkit import baseline
         from glasstrie.oracle import RefMap
 
-        factory = getattr(baseline, factory_name)
         rng = random.Random(31)
-        tree, ref = factory(), RefMap()
+        tree, ref = MAPS[factory_name](), RefMap()
         for step in range(30_000):
             r = rng.random()
             k = rng.randrange(4096)
@@ -300,12 +320,9 @@ class TestBaselines:
         assert tree.keys() == ref.keys()
         assert len(tree) == len(ref)
 
-    @pytest.mark.parametrize("factory_name", ["RBMap"])
+    @pytest.mark.parametrize("factory_name", sorted(MAPS))
     def test_ordered_walks(self, factory_name):
-        from glasstrie.benchkit import baseline
-
-        factory = getattr(baseline, factory_name)
-        tree = factory()
+        tree = MAPS[factory_name]()
         keys = random.Random(7).sample(range(10_000), 500)
         for k in keys:
             tree.insert(k, -k)
@@ -463,6 +480,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "checksum mismatch" in err
         assert not out.exists()
+
+    @staticmethod
+    def assert_refused(argv, capsys, reason):
+        from glasstrie.cli import main
+
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
+        assert reason in captured.err
+
+    def test_replay_of_a_file_without_events_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "ev.txt"
+        src.write_text("# a comment and nothing else\n")
+        self.assert_refused(["bench", "replay", "--file", str(src), "--copies", "1-2",
+                             "--iterations", "1"], capsys, "no replay events")
+
+    def test_replay_amplifying_only_reads_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "ev.txt"
+        src.write_text("B A\nN B 100\nB B\n")
+        self.assert_refused(["bench", "replay", "--file", str(src), "--copies", "1",
+                             "--iterations", "1", "--amplify-iter", "5"], capsys,
+                            "no replay-iter events")
+
+    def test_synth_of_no_ops_exits_2(self, capsys):
+        # refused for its count, not at the first insert into a size-0 glass
+        self.assert_refused(["bench", "synth", "--op", "find-e", "--ops", "0",
+                             "--iterations", "1"], capsys, "price count")
 
     def test_bad_model_and_factor_arguments_exit_2(self, tmp_path, capsys):
         from glasstrie.cli import main

@@ -187,8 +187,8 @@ class _BrokenMap:
     def find(self, key):
         return None
 
-    def locate(self, key):
-        return None
+    def first_items(self, count, descending=False):
+        return []
 
     def min(self):
         return None
@@ -205,6 +205,28 @@ class _BrokenMap:
 
 #: two inserts and two reads, no MIN or MAX op
 EDGE_TRACE = [("I", 5, 50), ("I", 9, 90), ("F", 5), ("N", 5)]
+
+
+#: a glass whose cached min holds the right key on another pre-leaf, which
+#: the key comparison passes and the edge's read-back value does not
+WRONG_PRELEAF_RUN = """
+from glasstrie.oracle import Divergence, FeatureConfig, RefMap, _check_edges
+
+g, ref = FeatureConfig().build(64), RefMap()
+for k in (5, 0x109):
+    g.insert(k, k * 10)
+    ref.insert(k, k * 10)
+_check_edges(g, ref, 7)
+g._first = (g._preleaf_of(0x109), 5)
+try:
+    _check_edges(g, ref, 7)
+except Divergence as div:
+    got = (div.index, div.op, div.expected, div.got)
+    if got != (7, ("min",), [(5, 50)], [(5, None)]):
+        raise SystemExit(f"reported {got}")
+else:
+    raise SystemExit("a min edge on a wrong pre-leaf went unreported")
+"""
 
 
 class TestFuzzRun:
@@ -229,7 +251,7 @@ class TestFuzzRun:
         with pytest.raises(Divergence) as caught:
             fuzz_run(FeatureConfig(), EDGE_TRACE, structure=g, check_every=1)
         div = caught.value
-        assert (div.index, div.op, div.expected, div.got) == (1, ("min",), (5, 50), (9, 90))
+        assert (div.index, div.op, div.expected, div.got) == (1, ("min",), 5, 9)
 
     def test_wrong_cached_edge_is_reported_under_optimize(self, run_optimized):
         run_optimized(
@@ -246,6 +268,13 @@ class TestFuzzRun:
             "else:\n"
             "    raise SystemExit('a wrong cached edge went unreported')\n"
         )
+
+    def test_edge_on_a_wrong_preleaf_is_reported(self, run_fresh):
+        run_fresh(WRONG_PRELEAF_RUN)
+
+    def test_edge_on_a_wrong_preleaf_is_reported_under_optimize(self, run_optimized):
+        run_optimized("if __debug__:\n    raise SystemExit('asserts are on')\n"
+                      + WRONG_PRELEAF_RUN)
 
     def test_short_runs_all_configs(self):
         trace = gen_trace(13, LOCAL, 4000)
