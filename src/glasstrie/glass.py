@@ -43,20 +43,29 @@ table chains included. An order book's restructure is one such build.
 Pool arrays and geometry constants are bound to instance attributes
 once. Lookups and neighbour walks are built from three private
 primitives: ``_jump`` (the cached-path jump), ``_descend`` (the
-read-only descent from it) and ``_climb`` (scan a node's mask past the
-key, climb parents until a sibling subtree exists, roll down its edge
-with ``_edge_from``, which also repairs the edge cache after an erase or
-a cut). ``insert`` shares ``_jump`` and keeps the one descent that
-rewrites the cached path as it goes. It has two arms: a descent that
-reaches the pre-leaf sets a slot there and returns; any other, an empty
-glass included (a descent that stops above the root), builds the
-missing suffix from one ``Pool.allocate_many`` batch in one loop. Three
-copies stay inlined because routing them through a shared helper
-measured slower:
+read-only descent from it) and ``_climb``, the one climb-and-roll-down:
+scan a node's mask past the key, climb parents until a sibling subtree
+exists, roll down to its edge. ``next``/``prev`` (through
+``_neighbor``), ``first_items`` and erase's edge repair step through
+``_climb``; ``split_off`` repairs its edge through ``_neighbor``.
+``insert`` shares ``_jump`` and keeps the one descent that rewrites the
+cached path as it goes. It has two arms: a descent that reaches the
+pre-leaf sets a slot there and returns; any other, an empty glass
+included (a descent that stops above the root), builds the missing
+suffix from one ``Pool.allocate_many`` batch in one loop.
 
-* ``first_items`` walks with its own climb loop: with its climbs routed
-  through ``_climb``, ``first_items(10)`` over sparse keys took 1.35-1.5x
-  as long, and with every step a ``_climb`` call 2.4-3x;
+``first_items`` emits every wanted set bit of a pre-leaf in one inner
+loop with a countdown, and calls ``_climb`` once per further pre-leaf.
+Against the older walk with its own inlined climb (one process, 11
+interleaved rounds on a shared 2-CPU Xeon, CPython 3.11.7), walks from
+the best end of book state (seed 4101; 247 keys in 34 pre-leafs, 97 in
+6) took 0.81x as long for 1-10 keys, 0.73x for 25 and 0.77x for a whole
+side, but 1.10x for one key. On a 7,000-key uniform fill, one key per
+pre-leaf, each key pays a ``_climb`` call and walks took 1.11-1.17x.
+
+Two copies stay inlined because routing them through a shared helper
+measured slower on the same host:
+
 * ``_preleaf_of`` probes the cache table itself: routed through
   ``CacheTable.lookup``, an absent-key ``find`` took 1.17x as long and a
   present one 1.09-1.26x. ``CacheTable.lookup`` stays the instrumented
@@ -64,11 +73,9 @@ measured slower:
 * ``find`` carries its own copy of that probe and reads the slot on a
   hit: routed through ``_preleaf_of`` and a mask test, its local
   find-existing ratio against the red-black tree (acceptance criterion
-  9's estimator, median of 20 interleaved rounds on a shared 2-CPU
-  Xeon, CPython 3.11.7) fell from 1.53 to 1.01, below 1.0 in 8 rounds
-  of 20 rather than 1. On a don't-know it goes straight to
-  ``_descend``, so the chain is walked once. ``erase`` keeps using
-  ``_preleaf_of``.
+  9's estimator, median of 20 interleaved rounds) fell from 1.53 to
+  1.01, below 1.0 in 8 rounds of 20 rather than 1. On a don't-know it
+  goes straight to ``_descend``, so the chain is walked once.
 """
 
 from __future__ import annotations
@@ -183,11 +190,10 @@ class Glass:
 
     def _climb(self, node: int, depth: int, offset: int, key: int,
                forward: bool) -> tuple[int, int] | None:
-        """Strict successor (forward) or predecessor of ``key``, searched
-        from ``node``, the depth-``depth`` node on ``key``'s path whose
-        chunk sits at ``offset``: scan its mask beyond the key's chunk,
-        climb parents until a sibling subtree exists, roll down its edge.
-        """
+        """(pre-leaf, key) of the strict successor (forward) or
+        predecessor of ``key``, or None, from ``node``, the deepest node on
+        the key's path (at ``depth``, chunk at ``offset``): scan its mask
+        beyond that chunk, climb to a sibling subtree, roll down its edge."""
         mask = self._mask
         parent_arr = self._parent
         n_mask = self._nmask
@@ -205,31 +211,17 @@ class Glass:
             node = parent_arr[node]
             depth -= 1
             offset += c_bits
-        branch = (m & -m).bit_length() - 1 if forward else m.bit_length() - 1
-        prefix = (key & ~((1 << (offset + c_bits)) - 1)) | (branch << offset)
-        if depth == self._lastdepth:
-            return node, prefix
-        child = self._slots[node * self._fanout + branch]
-        return self._edge_from(child, depth + 1, prefix, forward)
-
-    def _edge_from(self, node: int, depth: int, key_prefix: int, forward: bool) -> tuple[int, int]:
-        """(pre-leaf, key) of the least (forward) or greatest key under
-        ``node``, the depth-``depth`` node whose key bits above its chunk
-        are ``key_prefix``: follow the lowest or highest set bit down to
-        the pre-leaf."""
-        mask = self._mask
         slots = self._slots
         fanout = self._fanout
-        c_bits = self._cbits
         last = self._lastdepth
-        offset = c_bits * (last - depth)
+        key &= ~((1 << (offset + c_bits)) - 1)
         while True:
-            m = mask[node]
             c = (m & -m).bit_length() - 1 if forward else m.bit_length() - 1
-            key_prefix |= c << offset
+            key |= c << offset
             if depth == last:
-                return node, key_prefix
+                return node, key
             node = slots[node * fanout + c]
+            m = mask[node]
             offset -= c_bits
             depth += 1
 
@@ -563,20 +555,21 @@ class Glass:
             return True
         # an erased edge's successor lives in the same pre-leaf when any
         # slot is left there, since every other pre-leaf lies wholly
-        # beyond it; otherwise under the node where the unlink walk
-        # stopped, since every key outside that subtree lies beyond it
+        # beyond it; otherwise ``_climb`` finds it from the node where the
+        # unlink walk stopped, since every key left under that node lies
+        # beyond it too
         if self._first[1] == key:
             if m:
                 self._first = (preleaf, key - c + ((m & -m).bit_length() - 1))
             else:
-                self._first = self._edge_from(parent, self._lastdepth - offset // c_bits,
-                                              key & ~((1 << (offset + c_bits)) - 1), True)
+                self._first = self._climb(parent, self._lastdepth - offset // c_bits,
+                                          offset, key, True)
         elif self._last[1] == key:
             if m:
                 self._last = (preleaf, key - c + (m.bit_length() - 1))
             else:
-                self._last = self._edge_from(parent, self._lastdepth - offset // c_bits,
-                                             key & ~((1 << (offset + c_bits)) - 1), False)
+                self._last = self._climb(parent, self._lastdepth - offset // c_bits,
+                                         offset, key, False)
         return True
 
     def split_off(self, key: int, above: bool) -> int:
@@ -588,7 +581,9 @@ class Glass:
         beyond the path is detached and collected, and path nodes left
         empty are unlinked. Every freed node goes back blank, every slot
         None, in one ``Pool.deallocate_many`` call, and ``size``, the
-        cached path and the edge cache are repaired once. ``key`` may be
+        cached path and the edge cache are repaired once: every key on
+        the cut side is gone, so the new edge is ``_neighbor``'s strict
+        neighbour of the (clamped) cut key. ``key`` may be
         any int: past either end of ``[0, 2**key_bits)`` it cuts
         everything or nothing, as a comparison with every stored key
         would.
@@ -695,9 +690,9 @@ class Glass:
             self._first = None
             self._last = None
         elif above:
-            self._last = self._edge_from(self.root, 0, 0, False)
+            self._last = self._neighbor(key, False)
         else:
-            self._first = self._edge_from(self.root, 0, 0, True)
+            self._first = self._neighbor(key, True)
         return removed
 
     def min(self) -> int | None:
@@ -733,83 +728,49 @@ class Glass:
         return None if edge is None else edge[1]
 
     def first_items(self, count: int, descending: bool = False) -> list[tuple[int, int]]:
-        """Up to ``count`` (key, value) pairs from the ordered end.
-
-        One call walks the whole range; this is the bulk form of
-        min()/next(). The walk is inlined, not built on ``_climb``,
-        because the calls cost more than the walk (module docstring).
-        """
+        """Up to ``count`` (key, value) pairs from the ordered end, the
+        bulk form of min()/next(): the edge's own pair, read through its
+        cached pre-leaf, then a pre-leaf at a time (module docstring)."""
         if count <= 0 or self.size == 0:
             return []
-        start = self._last if descending else self._first
-        node, key = start
+        node, key = self._last if descending else self._first
         mask = self._mask
         slots = self._slots
-        parent_arr = self._parent
         fanout = self._fanout
         n_mask = self._nmask
-        c_bits = self._cbits
-        lastdepth = self._lastdepth
-        inv = self._invalid
-        word_top = _MASK64 - 1
-        out = [(key, slots[node * fanout + (key & n_mask)])]
-        while len(out) < count:
+        out = []
+        append = out.append
+        while True:
+            row = node * fanout
             c = key & n_mask
+            base = key - c
+            append((key, slots[row + c]))
+            count -= 1
+            if not count:
+                return out
             if descending:
                 m = mask[node] & ((1 << c) - 1)
-            else:
-                m = mask[node] & (word_top << c)
-            if m:
-                if descending:
-                    key = key - c + (m.bit_length() - 1)
-                else:
-                    key = key - c + ((m & -m).bit_length() - 1)
-                out.append((key, slots[node * fanout + (key & n_mask)]))
-                continue
-            # climb until a sibling subtree exists, then roll down its edge
-            depth = lastdepth
-            offset = 0
-            up = node
-            while True:
-                par = parent_arr[up]
-                if depth == 0 or par == inv:
-                    return out
-                up = par
-                depth -= 1
-                offset += c_bits
-                c = (key >> offset) & n_mask
-                if descending:
-                    m = mask[up] & ((1 << c) - 1)
-                else:
-                    m = mask[up] & (word_top << c)
-                if m:
-                    break
-            if descending:
-                branch = m.bit_length() - 1
-            else:
-                branch = (m & -m).bit_length() - 1
-            key = (key & ~((1 << (offset + c_bits)) - 1)) | (branch << offset)
-            up = slots[up * fanout + branch]
-            depth += 1
-            offset -= c_bits
-            while depth < lastdepth:
-                m = mask[up]
-                if descending:
+                while m:
                     c = m.bit_length() - 1
-                else:
-                    c = (m & -m).bit_length() - 1
-                key |= c << offset
-                up = slots[up * fanout + c]
-                offset -= c_bits
-                depth += 1
-            m = mask[up]
-            if descending:
-                key |= m.bit_length() - 1
+                    append((base + c, slots[row + c]))
+                    count -= 1
+                    if not count:
+                        return out
+                    m ^= 1 << c
             else:
-                key |= (m & -m).bit_length() - 1
-            node = up
-            out.append((key, slots[node * fanout + (key & n_mask)]))
-        return out
+                m = mask[node] & ((_MASK64 - 1) << c)
+                while m:
+                    low = m & -m
+                    c = low.bit_length() - 1
+                    append((base + c, slots[row + c]))
+                    count -= 1
+                    if not count:
+                        return out
+                    m ^= low
+            edge = self._climb(node, self._lastdepth, 0, base + c, not descending)
+            if edge is None:
+                return out
+            node, key = edge
 
     # -- introspection -------------------------------------------------
 
@@ -861,8 +822,8 @@ class Glass:
         broken invariant.
 
         Test harness use only. One walk from the root, O(size * fanout),
-        checks the trie and collects each live pre-leaf's key prefix;
-        ``deep`` adds a walk of every cache-table chain, checking that
+        checks the trie, the cached path and the edge cache, and collects
+        each live pre-leaf's key prefix; ``deep`` adds a walk of every cache-table chain, checking that
         it holds exactly those pre-leafs under exactly those prefixes.
         The checks are plain ``if``s, so they also run under ``python -O``.
         """
@@ -877,6 +838,8 @@ class Glass:
                 raise IntegrityError(f"a glass with no root holds {self.size} elements")
             if pool.live_count != 0:
                 raise IntegrityError(f"a glass with no root holds {pool.live_count} live nodes")
+            if self._first is not None or self._last is not None:
+                raise IntegrityError("an empty glass caches an edge")
             return
         seen = set()
         elements = 0
@@ -925,6 +888,17 @@ class Glass:
                 if self.rho[i] != node:
                     raise IntegrityError(f"cached path names a wrong node at depth {i}")
                 offset -= geo.chunk_bits
+        # edge cache: the least-prefix pre-leaf with its lowest set key,
+        # and the mirror
+        lo = min(prefixes, key=prefixes.get)
+        hi = max(prefixes, key=prefixes.get)
+        m_lo = pool.mask[lo]
+        first = (lo, (prefixes[lo] << geo.chunk_bits) + (m_lo & -m_lo).bit_length() - 1)
+        last = (hi, (prefixes[hi] << geo.chunk_bits) + pool.mask[hi].bit_length() - 1)
+        if self._first != first:
+            raise IntegrityError(f"cached min edge {self._first}, the walk finds {first}")
+        if self._last != last:
+            raise IntegrityError(f"cached max edge {self._last}, the walk finds {last}")
         # cache table: one entry per live pre-leaf, under its true prefix
         if table.count != len(prefixes):
             raise IntegrityError(

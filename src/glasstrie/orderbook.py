@@ -259,7 +259,8 @@ class OrderBook:
         t = self.threshold
         if glass.size > self.max_size:
             raise IntegrityError(f"glass holds {glass.size} levels, over {self.max_size}")
-        for price, value in glass.first_items(glass.size):
+        items = glass.first_items(glass.size)
+        for price, value in items:
             if value is not True:
                 raise IntegrityError(f"glass maps price {price} to {value!r}, not True")
             if price not in amounts:
@@ -269,7 +270,7 @@ class OrderBook:
         for price, amount in amounts.items():
             if type(amount) is not int or amount <= 0:
                 raise IntegrityError(f"level {price} holds {amount!r}, not a positive int")
-        spilled = set(amounts).difference(glass.keys())
+        spilled = set(amounts).difference(price for price, _ in items)
         if (t is None) != (not spilled):
             raise IntegrityError(f"threshold {t} with {len(spilled)} spilled levels")
         for price in spilled:

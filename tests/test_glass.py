@@ -135,18 +135,36 @@ class TestBasicOps:
             g.insert(3, "c")
 
     @settings(max_examples=200, deadline=None)
-    @given(keys=st.lists(st.integers(0, 255), max_size=60, unique=True))
-    def test_first_items_partial_walks(self, keys):
+    @given(keys=st.lists(st.integers(0, 255), max_size=60, unique=True),
+           erases=st.lists(st.one_of(st.sampled_from(["min", "max"]),
+                                     st.integers(0, 255)), max_size=12),
+           cut=st.integers(-2, 257), above=st.booleans())
+    def test_first_items_partial_walks(self, keys, erases, cut, above):
         # four levels of 2-bit chunks: a partial walk stops inside a
-        # pre-leaf, after a climb of one to three levels, or at the end
+        # pre-leaf, after a climb of one to three levels, or at the end.
+        # Edge erases and one cut then repair the edges both ways: from
+        # the erased edge's pre-leaf or by a climb, and by a neighbour.
         g = create(key_bits=8, chunk_bits=2, width=16, max_size=64)
         ref = RefMap()
         for k in keys:
             g.insert(k, k * 3)
             ref.insert(k, k * 3)
-        for count in range(len(keys) + 2):
-            for descending in (False, True):
-                assert g.first_items(count, descending) == ref.first_items(count, descending)
+
+        def check():
+            assert (g.min(), g.max()) == (ref.min(), ref.max())
+            for count in range(len(ref) + 2):
+                for descending in (False, True):
+                    assert g.first_items(count, descending) == ref.first_items(count, descending)
+            g.check_integrity(deep=True)
+
+        check()
+        for k in erases:
+            k = {"min": ref.min(), "max": ref.max()}.get(k, k)
+            if k is not None:
+                assert g.erase(k) == ref.erase(k)
+                check()
+        assert g.split_off(cut, above) == len(ref_split(ref, cut, above))
+        check()
 
 
 class TestOutOfRangeKeys:
@@ -242,6 +260,45 @@ class TestIntegrityChecks:
                 g.check_integrity(deep=True)
             g.pool.mask[:], g.size, g.rho[:], g.pool.live_count = saved
             g.check_integrity(deep=True)
+
+    def test_wrong_or_stale_edges_raise(self):
+        # two pre-leafs: 5 alone, then 0x109 and 0x10C
+        g = small_glass()
+        for k in (5, 0x109, 0x10C):
+            g.insert(k, k * 10)
+        g.check_integrity(deep=True)
+        low, high = g._preleaf_of(5), g._preleaf_of(0x109)
+        for edges in (((high, 5), g._last),  # the right key on a wrong pre-leaf
+                      ((low, 6), g._last), (g._last, g._last),
+                      (g._first, (high, 0x109)), (g._first, (low, 0x10C))):
+            saved = (g._first, g._last)
+            g._first, g._last = edges
+            with pytest.raises(IntegrityError, match="edge"):
+                g.check_integrity(deep=False)
+            g._first, g._last = saved
+        g.check_integrity(deep=True)
+        g.split_off(0, True)
+        g._last = (high, 0x10C)
+        with pytest.raises(IntegrityError, match="edge"):
+            g.check_integrity(deep=False)
+
+    def test_edge_on_a_wrong_preleaf_raises_under_optimize(self, run_optimized):
+        # ``first_items(1)`` reads (5, None) from such a glass
+        run_optimized(
+            "from glasstrie import create\n"
+            "from glasstrie.errors import IntegrityError\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "g = create(16, 4, width=16, max_size=256)\n"
+            "for k in (5, 0x109):\n"
+            "    g.insert(k, k * 10)\n"
+            "g._first = (g._preleaf_of(0x109), 5)\n"
+            "try:\n"
+            "    g.check_integrity(deep=True)\n"
+            "except IntegrityError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('a min edge on a wrong pre-leaf passed')\n"
+        )
 
 
     @pytest.mark.parametrize("blank", ["zero", "invalid"])
@@ -810,9 +867,9 @@ class TestEdgeCache:
             g.insert(k, k + 1)
             ref.insert(k, k + 1)
         starts = []  # depth each edge walk starts from
-        walk = g._edge_from
-        g._edge_from = lambda node, depth, prefix, forward: (
-            starts.append(depth) or walk(node, depth, prefix, forward))
+        climb = g._climb
+        g._climb = lambda node, depth, offset, key, forward: (
+            starts.append(depth) or climb(node, depth, offset, key, forward))
         long_chains = 0
         while len(ref):
             key = ref.min() if rng.random() < 0.5 else ref.max()
