@@ -19,14 +19,15 @@ slot holds None in either. An edge is a private (pre-leaf handle, key)
 tuple; the glass hands out keys and values only, since a handle kept
 across an update can name a reused pre-leaf.
 
-``erase`` resolves a key's pre-leaf through ``_preleaf_of``: first the
-pre-leaf that ends a whole cached path, when the key differs from
-``last_key`` only in its last chunk (no probe); then the cache table;
-on a don't-know, the descent.
-Over 100k events of perfbench's seed 7 feeds (a spy counting the calls
-whose first test holds), 79.7% of 27,328 calls end at the first step on
-book-feed, 87.1% of 23,351 on book-spill and 3 of 19,480 on
-map-uniform. Every erase goes by key.
+``insert`` and ``erase`` first test whether the key lies in the pre-leaf
+that ends a whole cached path (it differs from ``last_key`` only in its
+last chunk); such a key needs no jump, probe or descent. Any other key
+goes to ``insert``'s jump and descent, or to ``_preleaf_of``: the cache
+table, then on a don't-know the descent. Over 100k events of
+perfbench's seed 7 feeds (a spy counting the calls whose test holds),
+79.7% of 27,328 erases and 86.0% of 27,799 inserts pass it on
+book-feed, 87.1% of 23,351 and 84.4% of 26,209 on book-spill, and 3 of
+19,480 and 0 of 19,479 on map-uniform.
 ``split_off(key, above)`` removes one whole side of a key in one cut:
 a walk up the key's path detaches every subtree beyond it, trims the
 cut pre-leaf, frees all the nodes in one ``Pool.deallocate_many`` call
@@ -55,13 +56,15 @@ included (a descent that stops above the root), builds the missing
 suffix from one ``Pool.allocate_many`` batch in one loop.
 
 ``first_items`` emits every wanted set bit of a pre-leaf in one inner
-loop with a countdown, and calls ``_climb`` once per further pre-leaf.
-Against the older walk with its own inlined climb (one process, 11
-interleaved rounds on a shared 2-CPU Xeon, CPython 3.11.7), walks from
-the best end of book state (seed 4101; 247 keys in 34 pre-leafs, 97 in
-6) took 0.81x as long for 1-10 keys, 0.73x for 25 and 0.77x for a whole
-side, but 1.10x for one key. On a 7,000-key uniform fill, one key per
-pre-leaf, each key pays a ``_climb`` call and walks took 1.11-1.17x.
+loop with a countdown, then calls ``_climb`` from the pre-leaf's parent
+once per further pre-leaf. Against the older walk with its own inlined
+climb (one process, 11 interleaved rounds on a shared 2-CPU Xeon,
+CPython 3.11.7), walks from the best end of book state (perfbench's
+BookFeed seed 4101 after 20k events; 265 keys in 34 pre-leafs, 164 in
+10) took 0.86x as long for 1-10 keys, 0.75x for 25 and 0.73x for a
+whole side, but 1.09x for one key. On a 7,000-key uniform fill, one key
+per pre-leaf, each key pays a ``_climb`` call: walks of 1-25 keys took
+1.05-1.08x, one key 1.11x.
 
 Two copies stay inlined because routing them through a shared helper
 measured slower on the same host:
@@ -234,99 +237,103 @@ class Glass:
         configured maximum size, and InvalidArgument for a key outside
         ``[0, 2**key_bits)`` or a ``None`` value. Whether or not anything
         is inserted, the cached path ends up describing this key's
-        location.
+        location. A key in the pre-leaf ending a whole cached path goes
+        straight to its slot; any other jumps, descends, and reaches its
+        slot the same way or builds the missing suffix.
         """
         if not 0 <= key < self._key_limit:
             raise InvalidArgument(f"key {key} is outside [0, 2**{self.geo.key_bits})")
         if value is None:
             raise InvalidArgument("None is reserved for absent keys")
-        inv = self._invalid
-        fanout = self._fanout
-        n_mask = self._nmask
-        c_bits = self._cbits
-        last = self._lastdepth
-        rho = self.rho
-        mask = self._mask
-        slots = self._slots
-
-        if self.root == inv:
-            # an empty glass: the descent stops above the root
-            depth = -1
-            node = inv
-            offset = c_bits * self._levels
+        if self.path_len == self._levels and not (key ^ self.last_key) >> self._cbits:
+            # the key lies in the pre-leaf that ends the cached path: no
+            # jump, no descent, and the path already describes the key
+            node = self.rho[self._lastdepth]
+            self.last_key = key
         else:
-            depth, node = self._jump(key)
-            rho[depth] = node
-            offset = c_bits * (last - depth)
-            while depth < last:
-                c = (key >> offset) & n_mask
-                if not (mask[node] >> c) & 1:
-                    break
-                node = slots[node * fanout + c]
-                offset -= c_bits
-                depth += 1
-                rho[depth] = node
+            inv = self._invalid
+            fanout = self._fanout
+            n_mask = self._nmask
+            c_bits = self._cbits
+            last = self._lastdepth
+            rho = self.rho
+            mask = self._mask
+            slots = self._slots
+            if self.root == inv:
+                # an empty glass: the descent stops above the root
+                depth = -1
+                node = inv
+                offset = c_bits * self._levels
             else:
-                # reached the pre-leaf: the slot bit decides. The descent
-                # overwrote rho with this key's ancestors, so the cached
-                # path must follow the key even when nothing is inserted.
-                self.last_key = key
-                self.path_len = self._levels
-                c = key & n_mask
-                if (mask[node] >> c) & 1:
-                    return False
+                depth, node = self._jump(key)
+                rho[depth] = node
+                offset = c_bits * (last - depth)
+                while depth < last:
+                    c = (key >> offset) & n_mask
+                    if not (mask[node] >> c) & 1:
+                        break
+                    node = slots[node * fanout + c]
+                    offset -= c_bits
+                    depth += 1
+                    rho[depth] = node
+            # rho[0..depth] describes this key, so the cached path follows
+            # it even when nothing is inserted
+            self.last_key = key
+            self.path_len = depth + 1
+            if depth < last:
                 if self.size >= self.max_size:
                     raise GlassFull(f"glass is at its maximum size {self.max_size}")
-                mask[node] |= 1 << c
-                slots[node * fanout + c] = value
+                # build the missing suffix, depths depth + 1 to the last,
+                # from one batch; its pre-leaf's mask holds this key's one bit
+                parent_arr = self._parent
+                nodes = self.pool.allocate_many(last - depth)
+                parent = nodes[0]
+                if depth < 0:
+                    self.root = parent
+                    parent_arr[parent] = inv
+                else:
+                    c = (key >> offset) & n_mask
+                    mask[node] |= 1 << c
+                    slots[node * fanout + c] = parent
+                    parent_arr[parent] = node
+                depth += 1
+                rho[depth] = parent
+                for child in nodes[1:]:
+                    offset -= c_bits
+                    c = (key >> offset) & n_mask
+                    mask[parent] = 1 << c
+                    slots[parent * fanout + c] = child
+                    parent_arr[child] = parent
+                    depth += 1
+                    rho[depth] = child
+                    parent = child
+                c = key & n_mask
+                mask[parent] = 1 << c
+                slots[parent * fanout + c] = value
+                self.table.insert(key >> c_bits, parent)
                 self.size += 1
-                if key < self._first[1]:
-                    self._first = (node, key)
-                elif key > self._last[1]:
-                    self._last = (node, key)
+                self.path_len = self._levels
+                first = self._first
+                if first is None or key < first[1]:
+                    self._first = (parent, key)
+                lastit = self._last
+                if lastit is None or key > lastit[1]:
+                    self._last = (parent, key)
                 return True
-
-        # the descent stopped at ``depth``; rho[0..depth] describes this key
-        self.last_key = key
-        self.path_len = depth + 1
+        # the key's pre-leaf exists: the slot bit decides
+        mask = self._mask
+        c = key & self._nmask
+        if (mask[node] >> c) & 1:
+            return False
         if self.size >= self.max_size:
             raise GlassFull(f"glass is at its maximum size {self.max_size}")
-        # build the missing suffix, depths depth + 1 to the last, from one
-        # batch; its pre-leaf's mask holds this key's one bit
-        parent_arr = self._parent
-        nodes = self.pool.allocate_many(last - depth)
-        parent = nodes[0]
-        if depth < 0:
-            self.root = parent
-            parent_arr[parent] = inv
-        else:
-            c = (key >> offset) & n_mask
-            mask[node] |= 1 << c
-            slots[node * fanout + c] = parent
-            parent_arr[parent] = node
-        depth += 1
-        rho[depth] = parent
-        for child in nodes[1:]:
-            offset -= c_bits
-            c = (key >> offset) & n_mask
-            mask[parent] = 1 << c
-            slots[parent * fanout + c] = child
-            parent_arr[child] = parent
-            depth += 1
-            rho[depth] = child
-            parent = child
-        c = key & n_mask
-        mask[parent] = 1 << c
-        slots[parent * fanout + c] = value
-        self.table.insert(key >> c_bits, parent)
+        mask[node] |= 1 << c
+        self._slots[node * self._fanout + c] = value
         self.size += 1
-        self.path_len = self._levels
-        first = self._first
-        if first is None or key < first[1]:
-            self._first = (parent, key)
-        lastit = self._last
-        if lastit is None or key > lastit[1]:
-            self._last = (parent, key)
+        if key < self._first[1]:
+            self._first = (node, key)
+        elif key > self._last[1]:
+            self._last = (node, key)
         return True
 
     def insert_sorted(self, keys: list[int], value) -> int:
@@ -453,17 +460,13 @@ class Glass:
     def _preleaf_of(self, key: int) -> int:
         """Pre-leaf holding ``key``'s slot, or the pool's invalid handle.
 
-        A key in the pre-leaf that ends a whole cached path is answered
-        from the path; a negative or out-of-range key differs from
-        ``last_key`` above its last chunk, so the test rejects it.
-        Otherwise a definitive cache-table answer decides at once, and a
-        don't-know falls back to the descent. A don't-know means a chain
-        of live pre-leafs, so the glass is not empty there. No stored
-        prefix matches a key outside ``[0, 2**key_bits)``, so only the
-        descent needs the range check. Read-only.
+        A definitive cache-table answer decides at once, and a don't-know
+        falls back to the descent. A don't-know means a chain of live
+        pre-leafs, so the glass is not empty there. No stored prefix
+        matches a key outside ``[0, 2**key_bits)``, so only the descent
+        needs the range check. ``erase`` calls it only for a key outside
+        the pre-leaf that ends the cached path. Read-only.
         """
-        if self.path_len == self._levels and not (key ^ self.last_key) >> self._cbits:
-            return self.rho[self._lastdepth]
         inv = self._invalid
         key_hi = key >> self._cbits
         p = self._heads[((key_hi * _HASH_MULT) & _MASK64) >> self._tshift]
@@ -483,14 +486,20 @@ class Glass:
     def erase(self, key: int) -> bool:
         """Remove ``key``; True if it was present.
 
-        Deallocates the chain of nodes left childless, truncates the
-        cached path by the removed chain's overlap with it, and fixes
-        the edge cache.
+        A key in the pre-leaf ending a whole cached path is found from the
+        path; any other, negative and out-of-range keys included (they
+        differ from ``last_key`` above its last chunk), goes through
+        ``_preleaf_of``. Deallocates the chain of nodes left childless,
+        truncates the cached path by the removed chain's overlap with it,
+        and fixes the edge cache.
         """
         inv = self._invalid
-        preleaf = self._preleaf_of(key)
-        if preleaf == inv:
-            return False
+        if self.path_len == self._levels and not (key ^ self.last_key) >> self._cbits:
+            preleaf = self.rho[self._lastdepth]
+        else:
+            preleaf = self._preleaf_of(key)
+            if preleaf == inv:
+                return False
         mask = self._mask
         c = key & self._nmask
         m = mask[preleaf]
@@ -506,7 +515,6 @@ class Glass:
         # walk up unlinking childless nodes from their parents, then free
         # the chain in one call; the walk stops at ``parent`` (chunk at
         # ``offset``), the deepest node left with a child
-        removed = 0
         if m == 0:
             parent_arr = self._parent
             c_bits = self._cbits
@@ -530,24 +538,25 @@ class Glass:
                 freed.append(parent)
                 node = parent
             self.pool.deallocate_many(freed)
-            removed = len(freed)
 
-        # cached-path truncation: overlap of the cached path with the
-        # removed chain, bounded by the depth of the deepest node the key
-        # shares with last_key; that is the pre-leaf's depth at most, also
-        # when the key is last_key itself, so erasing it drops exactly the
-        # path entries whose nodes were freed
-        path_len = self.path_len
-        if path_len:
-            shared = (self._prefix_base + WORD_BITS
-                      - (self.last_key ^ key).bit_length()) // self._cbits
-            if shared > self._lastdepth:
-                shared = self._lastdepth
-            if shared > path_len:
-                shared = path_len
-            drop = shared + removed + 1 - self._levels
-            if drop > 0:
-                self.path_len = path_len - drop if drop < path_len else 0
+            # cached-path truncation: overlap of the cached path with the
+            # removed chain, bounded by the depth of the deepest node the
+            # key shares with last_key; that is the pre-leaf's depth at
+            # most, also when the key is last_key itself, so erasing it
+            # drops exactly the path entries whose nodes were freed. Since
+            # ``shared <= levels - 1``, ``drop <= len(freed)``: an erase
+            # that frees nothing drops nothing, hence the test lives here
+            path_len = self.path_len
+            if path_len:
+                shared = (self._prefix_base + WORD_BITS
+                          - (self.last_key ^ key).bit_length()) // c_bits
+                if shared > self._lastdepth:
+                    shared = self._lastdepth
+                if shared > path_len:
+                    shared = path_len
+                drop = shared + len(freed) + 1 - self._levels
+                if drop > 0:
+                    self.path_len = path_len - drop if drop < path_len else 0
 
         if self.size == 0:
             self._first = None
@@ -767,7 +776,11 @@ class Glass:
                     if not count:
                         return out
                     m ^= low
-            edge = self._climb(node, self._lastdepth, 0, base + c, not descending)
+            # every wanted bit of the pre-leaf is out: climb from its parent
+            if not self._lastdepth:
+                return out
+            edge = self._climb(self._parent[node], self._lastdepth - 1, self._cbits,
+                               base + c, not descending)
             if edge is None:
                 return out
             node, key = edge

@@ -86,9 +86,6 @@ class OrderBook:
     def better(self, a: int, b: int) -> bool:
         return a < b if self.side == MIN_SIDE else a > b
 
-    def _better_than_threshold(self, price: int) -> bool:
-        return self.threshold is None or self.better(price, self.threshold)
-
     def _glass_best(self) -> int | None:
         return self.glass.min() if self.side == MIN_SIDE else self.glass.max()
 
@@ -133,7 +130,8 @@ class OrderBook:
             raise InvalidArgument(f"price {price} is outside [0, {self._price_limit})")
         if amount <= 0:
             raise InvalidArgument(f"level {price} given amount {amount}, not a positive one")
-        if self._better_than_threshold(price):
+        t = self.threshold
+        if t is None or (price < t if self.side == MIN_SIDE else price > t):
             glass = self.glass
             if glass.size < self.max_size:
                 glass.insert(price, True)
@@ -152,7 +150,8 @@ class OrderBook:
     def erase(self, price: int):
         if self.amounts.pop(price, None) is None:
             return
-        if self._better_than_threshold(price):
+        t = self.threshold
+        if t is None or (price < t if self.side == MIN_SIDE else price > t):
             self.glass.erase(price)
         elif len(self.amounts) == self.glass.size:
             # the last spilled level is gone: keep "threshold set iff a

@@ -31,10 +31,14 @@ def table_glass(default_table: bool, max_size: int = 4096) -> Glass:
 
 
 def located(g: Glass, key: int):
-    """(key, value) read from the pre-leaf ``_preleaf_of`` names for
-    ``key``, the route ``erase`` takes; None when that pre-leaf does not
-    hold the key."""
-    preleaf = g._preleaf_of(key)
+    """(key, value) read from the pre-leaf ``erase`` finds for ``key``:
+    the one ending a whole cached path when the key lies in it, else the
+    one ``_preleaf_of`` names; None when that pre-leaf does not hold the
+    key."""
+    if g.path_len == g._levels and not (key ^ g.last_key) >> g._cbits:
+        preleaf = g.rho[g._lastdepth]
+    else:
+        preleaf = g._preleaf_of(key)
     c = key & (g.geo.fanout - 1)
     if preleaf == g.pool.invalid or not (g.pool.mask[preleaf] >> c) & 1:
         return None
@@ -165,6 +169,17 @@ class TestBasicOps:
                 check()
         assert g.split_off(cut, above) == len(ref_split(ref, cut, above))
         check()
+
+    def test_first_items_on_a_one_level_glass(self):
+        # the root is the only pre-leaf, so a walk past its keys has no
+        # parent to climb from
+        g = create(key_bits=4, chunk_bits=4, width=16, max_size=16)
+        assert g._levels == 1
+        for k in (9, 1, 5):
+            g.insert(k, k * 2)
+        assert g.first_items(5) == [(1, 2), (5, 10), (9, 18)]
+        assert g.first_items(5, True) == [(9, 18), (5, 10), (1, 2)]
+        assert g.keys() == [1, 5, 9]
 
 
 class TestOutOfRangeKeys:
@@ -337,9 +352,9 @@ class TestLocateSetValue:
 
 
 class TestCachedPathLookup:
-    """``_preleaf_of``, and so ``erase``, answers a key in the pre-leaf
-    that ends a whole cached path from the path itself; every other key
-    goes to the table or the descent."""
+    """``erase`` (and ``insert``) answers a key in the pre-leaf that ends
+    a whole cached path from the path itself; every other key goes
+    through ``_preleaf_of`` to the table or the descent."""
 
     @pytest.mark.parametrize("default_table", [True, False])
     def test_lookups_match_reference(self, default_table):
@@ -405,6 +420,101 @@ class TestCachedPathLookup:
         assert located(g, 0x1235) == (0x1235, 1)
         assert g.keys() == [0x1235, 0x1236]
         g.check_integrity()
+
+
+class TestCachedPreleafArm:
+    """A birth, or a death that frees nothing, in the pre-leaf that ends
+    a whole cached path is answered from the path: no jump, no descent,
+    no ``_preleaf_of`` and no cache-table call."""
+
+    @staticmethod
+    def spy(g: Glass) -> list[str]:
+        """Names of the glass's lookup primitives and table updates, in
+        call order, as ``g`` makes them from now on."""
+        calls = []
+        for obj, prefix, names in ((g, "", ("_jump", "_descend", "_preleaf_of")),
+                                   (g.table, "table.", ("insert", "remove"))):
+            for name in names:
+                real = getattr(obj, name)
+                setattr(obj, name, lambda *a, real=real, name=prefix + name:
+                        calls.append(name) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_births_and_deaths_skip_the_lookup(self, default_table):
+        g = table_glass(default_table)
+        for k in (0x8000, 0x1230, 0x1235):
+            g.insert(k, k)
+        assert g.last_key == 0x1235 and g.path_len == g._levels
+        calls = self.spy(g)
+        assert g.insert(0x1237, 1) and g.insert(0x123F, 2)
+        assert g.insert(0x1235, 3) is False
+        assert g.erase(0x1230) and g.erase(0x123F)  # the pre-leaf keeps slots
+        assert g.erase(0x1239) is False  # a clear slot of the same pre-leaf
+        assert calls == []
+        assert g.keys() == [0x1235, 0x1237, 0x8000]
+        assert (g.min(), g.max(), g.last_key) == (0x1235, 0x8000, 0x1235)
+        g.check_integrity(deep=True)
+        # one chunk away: a new pre-leaf, through the jump and the table
+        assert g.insert(0x1245, 4)
+        assert calls == ["_jump", "table.insert"]
+        # back in 0x1235's pre-leaf, now off the cached path
+        del calls[:]
+        assert g.erase(0x1237)
+        assert calls[0] == "_preleaf_of" and "table.remove" not in calls
+        # a death that frees the cached pre-leaf only updates the table
+        g.insert(0x1245, 4)
+        del calls[:]
+        assert g.erase(0x1245)
+        assert calls == ["table.remove"]
+        assert g.path_len < g._levels
+        g.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("default_table", [True, False])
+    def test_full_glass(self, default_table):
+        g = table_glass(default_table, max_size=2)
+        g.insert(0x1230, 1)
+        g.insert(0x1235, 2)
+        state = (g.keys(), g.size, g._first, g._last)
+        with pytest.raises(GlassFull):
+            g.insert(0x1237, 3)
+        assert (g.keys(), g.size, g._first, g._last) == state
+        assert g.find(0x1237) is None
+        assert g.insert(0x1230, 4) is False
+        assert g.last_key == 0x1230 and g.path_len == g._levels
+        assert (g.keys(), g.size, g._first, g._last) == state
+        g.check_integrity(deep=True)
+
+    # bursts of ops in one of three neighbouring pre-leafs, so that keys
+    # take the cached arm, or on a key far from them
+    KIND = st.sampled_from(["insert", "insert", "erase", "erase", "split_off"])
+    BURST = (st.builds(lambda prefix, ops: [(kind, prefix << 4 | low, above)
+                                            for kind, low, above in ops],
+                       st.sampled_from([0x123, 0x124, 0x125]),
+                       st.lists(st.tuples(KIND, st.integers(0, 15), st.booleans()),
+                                min_size=1, max_size=6))
+             | st.tuples(KIND, st.sampled_from([0x0001, 0x1300, 0x8000, 0xFFFF]),
+                         st.booleans()).map(lambda op: [op]))
+
+    @pytest.mark.parametrize("cfg", all_feature_configs(), ids=cfg_id)
+    @settings(max_examples=100, deadline=None)
+    @given(bursts=st.lists(BURST, max_size=12))
+    def test_ops_match_reference(self, cfg, bursts):
+        g = cfg.build(6)
+        ref = RefMap()
+        for kind, key, above in (op for burst in bursts for op in burst):
+            if kind == "insert":
+                if len(ref) == 6 and ref.find(key) is None:
+                    with pytest.raises(GlassFull):
+                        g.insert(key, key)
+                else:
+                    assert g.insert(key, key) == ref.insert(key, key)
+            elif kind == "erase":
+                assert g.erase(key) == ref.erase(key)
+            else:
+                assert g.split_off(key, above) == len(ref_split(ref, key, above))
+            g.check_integrity(deep=True)
+            assert items(g) == ref_items(ref)
 
 
 def ref_split(ref: RefMap, key: int, above: bool) -> list[int]:

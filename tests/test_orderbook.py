@@ -429,6 +429,12 @@ class TestCheckInvariants:
         run_optimized(code)
 
 
+def in_glass_range(book, price):
+    """Whether ``book`` routes a new level at ``price`` to its glass:
+    strictly better than the threshold, or no threshold set."""
+    return book.threshold is None or book.better(price, book.threshold)
+
+
 class PerLevelBook(OrderBook):
     """The spill path before the bulk cut: preemption evicts the worst
     glass level one at a time, and restructure ranks the spilled levels
@@ -437,7 +443,7 @@ class PerLevelBook(OrderBook):
     """
 
     def insert(self, price, amount):
-        if not (self._better_than_threshold(price) and self.glass.size >= self.max_size):
+        if not (in_glass_range(self, price) and self.glass.size >= self.max_size):
             return super().insert(price, amount)
         self.amounts[price] = amount
         self.threshold = price
@@ -494,7 +500,7 @@ class TestPartitionEquivalence:
         for op in gen_book_ops(seed=4100 + max_size, length=6000,
                                max_depth=book.best_window):
             if op[0] == "A" and book.glass.size == max_size and book.find(op[1]) is None:
-                preemptions += book._better_than_threshold(op[1])
+                preemptions += in_glass_range(book, op[1])
             assert run_op(book, op) == run_op(ref, op)
             assert_same_partition(book, ref)
         assert preemptions > 10
