@@ -5,7 +5,7 @@ accelerators that never change observable results:
 
 * a cached root path to the last inserted key, so a descent can start
   at the deepest ancestor shared with the new key instead of the root,
-  and a lookup in its pre-leaf needs neither probe nor descent;
+  and an insert or erase in its pre-leaf needs no jump, probe or descent;
 * a cache table mapping key-prefixes to pre-leaf handles, giving most
   lookups a single hash probe instead of a descent;
 * cached min/max edges, kept current by every insert and erase.
@@ -50,10 +50,10 @@ exists, roll down to its edge. ``next``/``prev`` (through
 ``_neighbor``), ``first_items`` and erase's edge repair step through
 ``_climb``; ``split_off`` repairs its edge through ``_neighbor``.
 ``insert`` shares ``_jump`` and keeps the one descent that rewrites the
-cached path as it goes. It has two arms: a descent that reaches the
-pre-leaf sets a slot there and returns; any other, an empty glass
-included (a descent that stops above the root), builds the missing
-suffix from one ``Pool.allocate_many`` batch in one loop.
+cached path as it goes. A key in the cached pre-leaf skips both; it and
+a descent that reaches the pre-leaf share one tail that sets the slot.
+Any other descent, an empty glass included (one that stops above the
+root), builds the missing suffix from one ``Pool.allocate_many`` batch.
 
 ``first_items`` emits every wanted set bit of a pre-leaf in one inner
 loop with a countdown, then calls ``_climb`` from the pre-leaf's parent
@@ -64,7 +64,7 @@ BookFeed seed 4101 after 20k events; 265 keys in 34 pre-leafs, 164 in
 10) took 0.86x as long for 1-10 keys, 0.75x for 25 and 0.73x for a
 whole side, but 1.09x for one key. On a 7,000-key uniform fill, one key
 per pre-leaf, each key pays a ``_climb`` call: walks of 1-25 keys took
-1.05-1.08x, one key 1.11x.
+1.05-1.08x, one key 1.02-1.11x (two runs).
 
 Two copies stay inlined because routing them through a shared helper
 measured slower on the same host:
@@ -245,6 +245,7 @@ class Glass:
             raise InvalidArgument(f"key {key} is outside [0, 2**{self.geo.key_bits})")
         if value is None:
             raise InvalidArgument("None is reserved for absent keys")
+        mask = self._mask
         if self.path_len == self._levels and not (key ^ self.last_key) >> self._cbits:
             # the key lies in the pre-leaf that ends the cached path: no
             # jump, no descent, and the path already describes the key
@@ -257,7 +258,6 @@ class Glass:
             c_bits = self._cbits
             last = self._lastdepth
             rho = self.rho
-            mask = self._mask
             slots = self._slots
             if self.root == inv:
                 # an empty glass: the descent stops above the root
@@ -321,7 +321,6 @@ class Glass:
                     self._last = (parent, key)
                 return True
         # the key's pre-leaf exists: the slot bit decides
-        mask = self._mask
         c = key & self._nmask
         if (mask[node] >> c) & 1:
             return False
