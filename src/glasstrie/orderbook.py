@@ -12,11 +12,12 @@ A new level that finds the glass full is *preempted*: the threshold
 becomes its price and every glass level not strictly better than it
 leaves the glass with one trie cut (``Glass.split_off``), its amount
 staying where it was. When a best/next query runs off the end of the
-glass while levels are spilled, a restructure ranks the spilled prices
-with one sort, puts the best that fit back into the glass in one bulk
-build (``Glass.insert_sorted``) and makes the best one left the
-threshold. Queries never range past the configured best-price window,
-so a restructure always finds room; a full glass at that point means the
+glass while levels are spilled, a restructure ranks every price with
+one sort, finds the spilled ones with one bisection at the threshold,
+puts the best that fit back into the glass in one bulk build
+(``Glass.insert_sorted``) and makes the best one left the threshold.
+Queries never range past the configured best-price window, so a
+restructure always finds room; a full glass at that point means the
 caller broke the window contract and gets an error.
 
 A price outside ``[0, 2**key_bits)`` is refused by ``insert``, the one
@@ -32,6 +33,8 @@ case holds memory only for the levels it has.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .errors import ConfigError, IntegrityError, InvalidArgument, NegativeAmount, PriceTooFar
 from .glass import Glass, create
@@ -181,26 +184,36 @@ class OrderBook:
         """Move the best spilled levels into the glass and advance the
         threshold to the best price left spilled (or clear it).
 
-        The spilled prices are the keys of ``amounts`` not strictly
-        better than the threshold; one sort ranks them, the levels that
-        fit go into the glass in one ``Glass.insert_sorted`` call, which
-        builds the ranked run one pre-leaf at a time, and the rank just
-        past them is the new threshold. Amounts do not move.
+        With nothing spilled it returns at once. Otherwise one sort of
+        every price in ``amounts`` ranks them, and a bisection at the
+        threshold splits the glass's prices, all strictly better, from
+        the spilled ones (``bisect_left`` on a min side, whose spilled
+        prices lie at and above it, ``bisect_right`` on a max side). The
+        levels that fit go into the glass in one ``Glass.insert_sorted``
+        call, which builds the ranked run one pre-leaf at a time, and the
+        rank just past them is the new threshold. Amounts do not move.
         """
+        t = self.threshold
+        if t is None:
+            return
         available = self.max_size - self.glass.size
         if available == 0:
             raise PriceTooFar(
                 "next-best query beyond the reachable window: glass already full"
             )
-        t = self.threshold
-        if t is None:
-            return
+        ranked = sorted(self.amounts)
         if self.side == MIN_SIDE:
-            ranked = sorted([p for p in self.amounts if p >= t])
+            start = bisect_left(ranked, t)
+            stop = start + available
+            self.glass.insert_sorted(ranked[start:stop], True)
+            self.threshold = ranked[stop] if stop < len(ranked) else None
         else:
-            ranked = sorted([p for p in self.amounts if p <= t], reverse=True)
-        self.glass.insert_sorted(ranked[:available], True)
-        self.threshold = ranked[available] if available < len(ranked) else None
+            stop = bisect_right(ranked, t)
+            start = stop - available
+            run = ranked[start if start > 0 else 0:stop]
+            run.reverse()
+            self.glass.insert_sorted(run, True)
+            self.threshold = ranked[start - 1] if start > 0 else None
 
     def iterate_best(self, depth: int) -> list[tuple[int, int]]:
         """Best ``depth`` levels, best first, as (price, amount) pairs.

@@ -471,6 +471,24 @@ class TestCachedPreleafArm:
         g.check_integrity(deep=True)
 
     @pytest.mark.parametrize("default_table", [True, False])
+    def test_neighbours_from_the_cached_preleaf_skip_the_descent(self, default_table):
+        g = table_glass(default_table)
+        for k in (0x0100, 0x8000, 0x1230, 0x123A, 0x1235):
+            g.insert(k, k)
+        assert g.last_key == 0x1235 and g.path_len == g._levels
+        calls = self.spy(g)
+        # inside the pre-leaf, and out of it through the climb
+        assert (g.next(0x1235), g.next(0x1236), g.next(0x123A)) == (0x123A, 0x123A, 0x8000)
+        assert (g.prev(0x1235), g.prev(0x1239), g.prev(0x1230)) == (0x1230, 0x1235, 0x0100)
+        assert (g.next(0x123F), g.prev(0x1231)) == (0x8000, 0x1230)
+        assert calls == []
+        assert g.last_key == 0x1235 and g.path_len == g._levels
+        # a key one chunk away still descends
+        assert g.next(0x1245) == 0x8000
+        assert "_descend" in calls
+        g.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("default_table", [True, False])
     def test_full_glass(self, default_table):
         g = table_glass(default_table, max_size=2)
         g.insert(0x1230, 1)
@@ -487,7 +505,8 @@ class TestCachedPreleafArm:
 
     # bursts of ops in one of three neighbouring pre-leafs, so that keys
     # take the cached arm, or on a key far from them
-    KIND = st.sampled_from(["insert", "insert", "erase", "erase", "split_off"])
+    KIND = st.sampled_from(["insert", "insert", "erase", "erase", "split_off",
+                            "next", "prev"])
     BURST = (st.builds(lambda prefix, ops: [(kind, prefix << 4 | low, above)
                                             for kind, low, above in ops],
                        st.sampled_from([0x123, 0x124, 0x125]),
@@ -511,6 +530,10 @@ class TestCachedPreleafArm:
                     assert g.insert(key, key) == ref.insert(key, key)
             elif kind == "erase":
                 assert g.erase(key) == ref.erase(key)
+            elif kind == "next":
+                assert g.next(key) == ref.next(key)
+            elif kind == "prev":
+                assert g.prev(key) == ref.prev(key)
             else:
                 assert g.split_off(key, above) == len(ref_split(ref, key, above))
             g.check_integrity(deep=True)
@@ -624,6 +647,96 @@ class TestSplitOff:
             assert got in (0, len(keys))
         assert items(g) == ref_items(ref)
         g.check_integrity(deep=True)
+
+    @staticmethod
+    def path_nodes(g: Glass, key: int) -> list[int]:
+        """The nodes on ``key``'s path, by depth, as deep as it exists."""
+        fanout = g.geo.fanout
+        nodes = [g.root]
+        for depth in range(g._lastdepth):
+            c = (key >> (g._cbits * (g._lastdepth - depth))) & (fanout - 1)
+            if not (g.pool.mask[nodes[-1]] >> c) & 1:
+                break
+            nodes.append(g.pool.slots[nodes[-1] * fanout + c])
+        return nodes
+
+    @pytest.mark.parametrize("above,key", [(True, 0x9000), (True, 0x8001),
+                                           (False, 0x00FF), (False, 0x0001)])
+    def test_cut_beyond_the_far_edge_skips_the_descent(self, above, key):
+        g = small_glass()
+        for k in (0x0100, 0x1230, 0x1235, 0x8000):
+            g.insert(k, k)
+        state = (g.dump(), g.size, g.path_len, g.last_key, g._first, g._last)
+        descents = []
+        real = g._descend
+        g._descend = lambda k: descents.append(k) or real(k)
+        assert g.split_off(key, above) == 0
+        assert descents == []
+        assert (g.dump(), g.size, g.path_len, g.last_key, g._first, g._last) == state
+        g.check_integrity(deep=True)
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_cut_taking_the_near_edge_collects_the_trie_from_its_root(self, above):
+        g = small_glass()
+        keys = [0x0100, 0x1230, 0x1235, 0x8000]
+        for k in keys:
+            g.insert(k, k)
+        descents = []
+        real = g._descend
+        g._descend = lambda k: descents.append(k) or real(k)
+        assert g.split_off(0x0100 if above else 0x8000, above) == len(keys)
+        assert descents == []
+        assert g.root == g.pool.invalid and g.pool.live_count == 0 and g.table.count == 0
+        g.check_integrity(deep=True)
+        assert_free_nodes_blank(g)
+
+    def test_cut_sharing_top_chunks_with_the_far_edge_reads_no_parent_above_them(self):
+        class ReadLog(list):
+            def __init__(self, items):
+                super().__init__(items)
+                self.reads = []
+
+            def __getitem__(self, i):
+                self.reads.append(i)
+                return super().__getitem__(i)
+
+        g = small_glass()
+        for k in (0x1230, 0x1245, 0x1250, 0x0100):
+            g.insert(k, k)
+        # 0x1240 and the far edge 0x1250 share two chunks: the depth-2 node
+        # 0x12 holds the whole cut side and keeps 0x1230
+        path = self.path_nodes(g, 0x1240)
+        assert len(path) == g._levels
+        g._parent = ReadLog(g._parent)
+        assert g.split_off(0x1240, True) == 2
+        reads = g._parent.reads
+        g._parent = g.pool.parent
+        assert reads == [path[3]]
+        assert not set(reads) & set(path[:3])
+        assert g.keys() == [0x0100, 0x1230]
+        assert (g.min(), g.max()) == (0x0100, 0x1230)
+        g.check_integrity(deep=True)
+        assert_free_nodes_blank(g)
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_cut_that_empties_the_shared_node_still_unlinks_up_to_it(self, above):
+        g = small_glass()
+        ref = RefMap()
+        # the cut side 0x1245-0x1250 fills the depth-2 node 0x12, which is
+        # left empty, and so is its parent 0x1; the root keeps the rest
+        keys = (0x0100, 0x1245, 0x1250, 0x0105) if above else (0xF000, 0x1245, 0x1250, 0xF005)
+        for k in keys:
+            g.insert(k, k)
+            ref.insert(k, k)
+        live = g.pool.live_count
+        key = 0x1240 if above else 0x1255
+        assert g.split_off(key, above) == len(ref_split(ref, key, above)) == 2
+        assert items(g) == ref_items(ref)
+        # the pre-leafs 0x124 and 0x125 and the nodes 0x12 and 0x1
+        assert g.pool.live_count == live - 4
+        assert g.pool.mask[g.root] == 1 << (0x0 if above else 0xF)
+        g.check_integrity(deep=True)
+        assert_free_nodes_blank(g)
 
     @staticmethod
     def cube_id(cfg):

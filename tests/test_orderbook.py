@@ -4,6 +4,7 @@ import heapq
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from glasstrie.errors import (
     ConfigError,
@@ -330,6 +331,17 @@ class TestRestructure:
         with pytest.raises(PriceTooFar):
             book.next_best_after(4)  # sought rank equals capacity
 
+    @pytest.mark.parametrize("side", [MIN_SIDE, MAX_SIDE])
+    def test_nothing_spilled_returns_at_once(self, side):
+        book = make(side, max_size=4)
+        for p in (1, 2, 3, 4):
+            book.adjust(p, p)
+        assert book.glass.size == book.max_size and book.threshold is None
+        before = (book.levels(), book.glass.dump(), book.threshold)
+        book.restructure()
+        assert (book.levels(), book.glass.dump(), book.threshold) == before
+        book.check_invariants()
+
     def test_restructure_moves_all_when_room(self):
         book = make(MIN_SIDE, max_size=4)
         book.threshold = 100
@@ -361,6 +373,53 @@ class TestRestructure:
         assert book.threshold == ranked[16]
         book.check_invariants()
         g.check_integrity(deep=True)
+
+
+def comprehension_rank(book) -> tuple[list[int], int | None]:
+    """The run and the new threshold as a filter over every amount, then
+    a sort of the spilled prices, would choose them."""
+    available = book.max_size - book.glass.size
+    t = book.threshold
+    if book.side == MIN_SIDE:
+        ranked = sorted([p for p in book.amounts if p >= t])
+    else:
+        ranked = sorted([p for p in book.amounts if p <= t], reverse=True)
+    return ranked[:available], ranked[available] if available < len(ranked) else None
+
+
+class TestRestructureRanking:
+    """One sort of every price and a bisection at the threshold choose
+    the run and the threshold the filter-and-sort reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(side=st.sampled_from([MIN_SIDE, MAX_SIDE]),
+           prices=st.sets(st.integers(0, 0xFFFF), min_size=1, max_size=40),
+           data=st.data())
+    def test_run_and_threshold_match_the_reference(self, side, prices, data):
+        best_first = sorted(prices, reverse=side == MAX_SIDE)
+        held = data.draw(st.integers(0, len(prices) - 1), "glass levels")
+        spilled = best_first[held:]
+        available = data.draw(st.integers(1, len(spilled) + 1), "free glass slots")
+        assume(held + available >= 2)
+        # the threshold is the best spilled price, or a price between it
+        # and the worst glass price: a spilled level that died
+        step = 1 if side == MIN_SIDE else -1
+        bound = best_first[held - 1] + step if held else spilled[0] - 8 * step
+        t = data.draw(st.integers(min(bound, spilled[0]), max(bound, spilled[0])), "threshold")
+        assume(0 <= t <= 0xFFFF)
+        book = make(side, max_size=held + available, window=1)
+        book.glass.insert_sorted(best_first[:held], True)
+        book.amounts.update((p, 1) for p in prices)
+        book.threshold = t
+        book.check_invariants()
+        run, threshold = comprehension_rank(book)
+        calls = []
+        real = book.glass.insert_sorted
+        book.glass.insert_sorted = lambda keys, value: calls.append(list(keys)) or real(keys, value)
+        book.restructure()
+        assert calls == [run]
+        assert book.threshold == threshold
+        book.check_invariants()
 
 
 def _corrupt_amount(book):
